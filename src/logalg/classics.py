@@ -21,7 +21,7 @@ from typing import Union
 from .operators import bernoulli_j, gen_binomial, one_minus_d_pow, weierstrass, ArtinOp
 from .roman import roman_factorial, roman_ratio
 from .series import LogSeries, OrderTag, harmonic, zero_series
-from .sheffer import AppellRule, GradedSeq, ShefferRule
+from .sheffer import AppellRule, GradedSeq, ShefferRule, exp_genfun_coefficients
 
 __all__ = [
     "bernoulli_seq",
@@ -154,34 +154,10 @@ def laguerre_genfun_check(b: int, K: int) -> bool:
     (1-y)^{-b-1} exp(x y/(y-1)) = sum_a L_a(x) y^a / a!  through y^K."""
     if b < 0:
         raise ValueError("integer grade b >= 0 required for the generating-function check")
-    cap = K + 1
     # u(y) = y/(y-1) = -(y + y^2 + ...); prefactor (1-y)^{-b-1}.
-    u = {k: Fraction(-1) for k in range(1, cap + 1)}
-    pref = [gen_binomial(-b - 1, k) * (-1) ** k for k in range(cap + 1)]
-    # rows[n][e]: coefficient of x^n y^e in exp(x u(y))
-    power = {0: Fraction(1)}
-    rows = [dict(power)]
-    fact = Fraction(1)
-    for n in range(1, K + 1):
-        fact *= n
-        new: dict[int, Fraction] = {}
-        for e1, c1 in power.items():
-            for e2, c2 in u.items():
-                e = e1 + e2
-                if e <= K:
-                    new[e] = new.get(e, Fraction(0)) + c1 * c2
-        power = new
-        rows.append({e: c / fact for e, c in power.items()})
-    for k in range(K + 1):
-        coeffs: dict[int, Fraction] = {}
-        for j in range(k + 1):
-            if pref[j] == 0:
-                continue
-            for n, row in enumerate(rows):
-                c = row.get(k - j)
-                if c:
-                    coeffs[n] = coeffs.get(n, Fraction(0)) + pref[j] * c
-        lhs = LogSeries(OrderTag.ZERO, 0, coeffs)
+    u = {k: Fraction(-1) for k in range(1, K + 1)}
+    pref = {k: gen_binomial(-b - 1, k) * (-1) ** k for k in range(K + 1)}
+    for k, lhs in enumerate(exp_genfun_coefficients(pref, u, K)):
         rhs = laguerre_member(OrderTag.ZERO, k, b, 0).scale(1 / roman_factorial(k))
         if lhs != rhs:
             return False

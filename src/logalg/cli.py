@@ -97,7 +97,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"sheffer identities ({args.seq}, a={a}): {status}")
     elif args.what == "genfun":
         if args.seq == "laguerre":
-            good = laguerre_genfun_check(int(Fraction(args.grade)), args.depth)
+            grade = Fraction(args.grade)
+            if grade.denominator != 1:
+                raise ValueError(f"the generating-function check needs an integer grade, got {grade}")
+            good = laguerre_genfun_check(int(grade), args.depth)
         elif args.seq == "assoc-delta":
             good = GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(args.depth)
         else:

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
-from .roman import roman, roman_coeff
+from .roman import roman
 
 __all__ = ["OrderTag", "LogSeries", "harmonic", "zero_series", "agrees"]
 
@@ -118,21 +118,24 @@ class LogSeries:
 
         On the basis, E^z lam_a = sum_{k>=0} rc(a,k) z^k lam_{a-k}; since
         the top degree is finite, every retained coefficient is a finite
-        exact sum and the floor is preserved.
+        exact sum and the floor is preserved.  The terms of one basis
+        element follow the recurrence rc(a,k+1) = rc(a,k) roman(a-k)/(k+1),
+        which holds for every integer a because rf(n) = roman(n) rf(n-1).
+        The running term is kept as an unreduced integer fraction, so each
+        term costs O(1) integer products and one reduction, and the whole
+        shift O(terms * (top - floor)) operations.
         """
         z = Fraction(z)
         if z == 0:
             return self
         out: dict[int, Fraction] = {}
+        zn, zd = z.numerator, z.denominator
         for a, c in self.coeffs.items():
-            zk = Fraction(1)
+            num, den = c.numerator, c.denominator
             for k in range(a - self.floor + 1):
-                if zk != 0:
-                    target = a - k
-                    out[target] = out.get(target, Fraction(0)) + c * roman_coeff(a, k) * zk
-                zk *= z
-        if self.order is OrderTag.ZERO:
-            out = {d: v for d, v in out.items() if d >= 0}
+                out[a - k] = out.get(a - k, 0) + Fraction(num, den)
+                num *= zn * ((a - k) or 1)  # roman(a - k)
+                den *= zd * (k + 1)
         return LogSeries(self.order, self.floor, out)
 
     def eval_functional(self) -> Fraction:

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Mapping, Union
 
-from .operators import ArtinOp, identity_op, monomial_op
+from .operators import ArtinOp, convolve, identity_op, monomial_op
 from .roman import roman, roman_coeff, roman_factorial
 from .series import LogSeries, OrderTag, agrees, harmonic, zero_series
 
@@ -36,6 +37,7 @@ __all__ = [
     "ShefferRule",
     "GradedSeq",
     "appell_from_constants",
+    "exp_genfun_coefficients",
 ]
 
 OpFactory = Callable[[int], ArtinOp]
@@ -94,6 +96,7 @@ class GradedSeq:
     def __init__(self, rule: Rule):
         self.rule = rule
         self._cache: dict[tuple[OrderTag, int], LogSeries] = {}
+        self._assoc: GradedSeq | None = None
 
     # -- members ------------------------------------------------------
 
@@ -153,10 +156,17 @@ class GradedSeq:
 
     def associated_part(self) -> "GradedSeq":
         """The underlying associated sequence (the harmonic sequence for
-        Appell rules)."""
-        if isinstance(self.rule, (AssociatedRule, ShefferRule)):
-            return GradedSeq(AssociatedRule(self.rule.f))
-        return GradedSeq(HarmonicRule())
+        Appell rules).  Built once per instance, so its member cache
+        lasts as long as this sequence; an associated or harmonic
+        sequence is its own associated part."""
+        if isinstance(self.rule, (AssociatedRule, HarmonicRule)):
+            return self
+        if self._assoc is None:
+            if isinstance(self.rule, ShefferRule):
+                self._assoc = GradedSeq(AssociatedRule(self.rule.f))
+            else:
+                self._assoc = GradedSeq(HarmonicRule())
+        return self._assoc
 
     # -- characterization checks --------------------------------------
 
@@ -255,47 +265,60 @@ class GradedSeq:
 
         f_inv is the compositional inverse of the delta operator; the
         Roman exponential at order (0) is the ordinary sum_n x^n y^n/n!.
+        Costs one Lagrange inversion, one composition and O(k^3) for the
+        powers of f_inv; genfun_check_order_zero shares that work over
+        every k up to its K.
         """
         if cap is None:
             cap = k + 1
-        f = self.delta_op(cap)
-        f_inv = f.comp_inverse()
+        return self._genfun_coefficients(k, cap)[k]
+
+    def _genfun_coefficients(self, K: int, cap: int) -> list[LogSeries]:
+        """The y^k coefficients of the generating function for every
+        0 <= k <= K, from one f_inv and one G."""
+        f_inv = self.delta_op(cap).comp_inverse()
         g = self.invertible_op(cap).compose(f_inv).recip()
-        # exp part: coefficient of y^k is sum_n (f_inv^n)_k x^n / n!
-        exp_rows: list[dict[int, Fraction]] = []
-        power = {0: Fraction(1)}
-        fact = Fraction(1)
-        for n in range(k + 1):
-            if n:
-                fact *= n
-                new: dict[int, Fraction] = {}
-                for e1, c1 in power.items():
-                    for e2, c2 in f_inv.coeffs.items():
-                        e = e1 + e2
-                        if e <= k:
-                            new[e] = new.get(e, Fraction(0)) + c1 * c2
-                power = new
-            exp_rows.append({e: c / fact for e, c in power.items()})
-        # multiply by G(y) and read off y^k; exp_rows[n] carries x^n at y^e
-        out: dict[int, Fraction] = {}
-        for j in range(k + 1):
-            gj = g.coeffs.get(j, Fraction(0))
-            if gj == 0:
-                continue
-            for n, row in enumerate(exp_rows):
-                c = row.get(k - j)
-                if c:
-                    out[n] = out.get(n, Fraction(0)) + gj * c
-        return LogSeries(OrderTag.ZERO, 0, out)
+        return exp_genfun_coefficients(g.coeffs, f_inv.coeffs, K)
 
     def genfun_check_order_zero(self, K: int) -> bool:
         """Check member(k)/k! against the y^k generating-function
-        coefficient for all 0 <= k <= K."""
+        coefficient for all 0 <= k <= K.
+
+        f_inv, G and the powers of f_inv are built once at cap K+1 and
+        every coefficient is read from them: one Lagrange inversion, one
+        composition and O(K^3) for the products.
+        """
+        coeffs = self._genfun_coefficients(K, K + 1)
         for k in range(K + 1):
             member = self.member(OrderTag.ZERO, k, 0).scale(1 / roman_factorial(k))
-            if self.genfun_coefficient(k, cap=K + 1) != member:
+            if coeffs[k] != member:
                 return False
         return True
+
+
+def exp_genfun_coefficients(
+    g: Mapping[int, Fraction], u: Mapping[int, Fraction], K: int
+) -> list[LogSeries]:
+    """The y^k coefficients, 0 <= k <= K, of g(y) exp(x u(y)) as order-(0)
+    series in x, for power series g and u with u(0) = 0.
+
+    The x^n part is g(y) u(y)^n / n!; multiplying in one factor of u per
+    n costs O(K^3) for all coefficients together.
+    """
+    rows = []  # rows[n][k]: coefficient of y^k in g(y) u(y)^n
+    power: Mapping[int, Fraction] = {0: Fraction(1)}
+    for n in range(K + 1):
+        if n:
+            power = convolve(power, u, K)
+        rows.append(convolve(g, power, K))
+    return [
+        LogSeries(
+            OrderTag.ZERO,
+            0,
+            {n: row.get(k, Fraction(0)) / factorial(n) for n, row in enumerate(rows)},
+        )
+        for k in range(K + 1)
+    ]
 
 
 def appell_from_constants(

@@ -102,6 +102,21 @@ def test_verify_genfun_corrupt_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("grade", ["1/2", "-1/2", "3/4"])
+def test_verify_genfun_laguerre_rejects_fractional_grade(capsys, grade):
+    # a fractional grade used to be truncated to an integer and reported as pass
+    code, out, err = run(capsys, "verify", "genfun", "--seq", "laguerre", f"--grade={grade}")
+    assert code == 2
+    assert "pass" not in out
+    assert "integer grade" in err
+
+
+def test_verify_genfun_laguerre_integer_grade_passes(capsys):
+    code, out, _ = run(capsys, "verify", "genfun", "--seq", "laguerre", "--grade", "2/1")
+    assert code == 0
+    assert "pass" in out
+
+
 # -- sum -----------------------------------------------------------------
 
 

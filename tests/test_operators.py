@@ -16,7 +16,7 @@ from logalg.operators import (
     weierstrass,
 )
 from logalg.series import LogSeries, OrderTag, harmonic
-from oracles import classical_bernoulli
+from oracles import classical_bernoulli, comp_inverse_by_compose
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -29,8 +29,8 @@ def op_agrees(a, b):
     }
 
 
-def random_delta(rng, cap):
-    coeffs = {1: F(1)}
+def random_delta(rng, cap, linear=F(1)):
+    coeffs = {1: F(linear)}
     for k in range(2, cap + 1):
         coeffs[k] = F(rng.randint(-4, 4), rng.randint(1, 5))
     return ArtinOp(cap, coeffs)
@@ -168,6 +168,49 @@ def test_comp_inverse_roundtrips():
 def test_comp_inverse_requires_lead_one():
     with pytest.raises(ValueError):
         bernoulli_j(3).comp_inverse()
+
+
+def test_comp_inverse_matches_compose_solve():
+    # Lagrange inversion against the coefficient-by-coefficient solve
+    rng = random.Random(31)
+    for cap in range(1, 21):
+        for linear in (F(1), F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))):
+            f = random_delta(rng, cap, linear)
+            got, want = f.comp_inverse(), comp_inverse_by_compose(f)
+            assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+
+
+def test_comp_inverse_never_composes(monkeypatch):
+    def forbidden(self, inner):
+        raise AssertionError("comp_inverse must not call compose")
+
+    monkeypatch.setattr(ArtinOp, "compose", forbidden)
+    assert forward_difference(12).comp_inverse().coeffs[12] == F(-1, 12)
+
+
+def truncated(op, cap):
+    return ArtinOp(cap, {e: c for e, c in op.coeffs.items() if e <= cap})
+
+
+def random_series_op(rng, cap):
+    return ArtinOp(cap, {k: F(rng.randint(-4, 4), rng.randint(1, 5)) for k in range(cap + 1)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cap_soundness_of_compose_and_comp_inverse(seed):
+    # results at cap c and c+25 must agree wherever the cap-c result
+    # claims to be exact
+    rng = random.Random(seed)
+    c = rng.randint(1, 10)
+    outer = random_series_op(rng, c + 25)
+    inner = random_delta(rng, c + 25, F(rng.choice([1, -2, 3]), rng.randint(1, 3)))
+    pairs = [
+        (truncated(outer, c).compose(truncated(inner, c)), outer.compose(inner)),
+        (truncated(inner, c).comp_inverse(), inner.comp_inverse()),
+    ]
+    for small, big in pairs:
+        assert small.cap <= big.cap
+        assert op_agrees(small, big)
 
 
 # -- action on series --------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logalg.series import LogSeries, OrderTag, agrees, harmonic, zero_series
+from oracles import shift_by_roman_coeff
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -127,6 +129,49 @@ def test_augmentation_of_shifted_monomial_is_power(n):
     # <(0)| E^z x^n > = z^n
     z = F(2, 3)
     assert harmonic(Z, n, 0).shift(z).eval_functional() == z**n
+
+
+SHIFTS = [F(0), F(1), F(-1), F(1, 2), F(2), F(-3, 7)]
+
+
+@st.composite
+def polynomial_series(draw, top_max=10):
+    floor = draw(st.integers(min_value=0, max_value=top_max))
+    degrees = draw(st.lists(st.integers(min_value=floor, max_value=top_max), max_size=6))
+    return LogSeries(Z, floor, {d: draw(rationals) for d in degrees})
+
+
+@given(generic_series(floor_min=-14, top_max=8), st.sampled_from(SHIFTS))
+@settings(max_examples=60)
+def test_shift_matches_roman_coeff_sum_generic(p, z):
+    # the recurrence for rc(a, k) against each coefficient from scratch
+    assert p.shift(z) == shift_by_roman_coeff(p, z)
+
+
+@given(polynomial_series(), st.sampled_from(SHIFTS))
+@settings(max_examples=60)
+def test_shift_matches_roman_coeff_sum_polynomial(p, z):
+    assert p.shift(z) == shift_by_roman_coeff(p, z)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_floor_soundness_of_shift(seed):
+    # shifting a series known to depth c, and the same series known to
+    # depth c+25, must agree wherever the shallower result claims exactness
+    rng = random.Random(seed)
+    for order in (G, Z):
+        top = rng.randint(-4, 6) if order is G else rng.randint(8, 30)
+        floor = top - rng.randint(0, 8)
+        deep_floor = floor - 25 if order is G else max(floor - 25, 0)
+        deep = LogSeries(
+            order,
+            deep_floor,
+            {d: F(rng.randint(-5, 5), rng.randint(1, 6)) for d in range(deep_floor, top + 1)},
+        )
+        z = rng.choice(SHIFTS[1:])
+        small, big = deep.truncate(floor).shift(z), deep.shift(z)
+        assert big.floor <= small.floor
+        assert agrees(small, big)
 
 
 # -- functional, coeff access, truncation ------------------------------

@@ -280,3 +280,71 @@ def test_genfun_detects_wrong_member():
     seq = GradedSeq(ShefferRule(lambda cap: shift_op(1, cap), lambda cap: monomial_op(1, cap)))
     bern = bernoulli_seq()
     assert seq.member(Z, 2, 0) != bern.member(Z, 2, 0)
+
+
+# -- batched generating-function check and shared associated part -------
+
+
+def test_genfun_check_inverts_once(monkeypatch):
+    calls = []
+    original = ArtinOp.comp_inverse
+
+    def counting(self):
+        calls.append(self.cap)
+        return original(self)
+
+    monkeypatch.setattr(ArtinOp, "comp_inverse", counting)
+    assert laguerre_sheffer_seq(1).genfun_check_order_zero(10)
+    assert calls == [11]
+
+
+@pytest.mark.parametrize("seq", named_sequences())
+def test_batched_genfun_coefficients_match_single(seq):
+    K = 9
+    batched = seq._genfun_coefficients(K, K + 1)
+    assert batched == [seq.genfun_coefficient(k) for k in range(K + 1)]
+
+
+class PerturbedSeq(GradedSeq):
+    """A sequence whose order-(0) member of one degree is off by a constant."""
+
+    def __init__(self, rule, bad):
+        super().__init__(rule)
+        self.bad = bad
+
+    def member(self, order, a, floor):
+        out = super().member(order, a, floor)
+        if order is Z and a == self.bad:
+            out = out + harmonic(Z, 0, floor).scale(F(1, 1000))
+        return out
+
+
+@pytest.mark.parametrize("bad", [0, 4, 8])
+def test_genfun_check_rejects_one_wrong_member(bad):
+    assert PerturbedSeq(bernoulli_seq().rule, 99).genfun_check_order_zero(8)
+    assert not PerturbedSeq(bernoulli_seq().rule, bad).genfun_check_order_zero(8)
+
+
+def test_associated_part_is_memoised():
+    seq = laguerre_sheffer_seq(1)
+    assert seq.associated_part() is seq.associated_part()
+    assoc = GradedSeq(AssociatedRule(forward_difference))
+    assert assoc.associated_part() is assoc
+
+
+def test_binomial_shift_builds_each_associated_member_once(monkeypatch):
+    builds = []
+    original = GradedSeq._build
+
+    def counting(self, order, a, floor):
+        if isinstance(self.rule, AssociatedRule) and order is Z:
+            builds.append((self.rule, a))
+        return original(self, order, a, floor)
+
+    monkeypatch.setattr(GradedSeq, "_build", counting)
+    for seq in (laguerre_sheffer_seq(F(1, 2)), GradedSeq(AssociatedRule(forward_difference))):
+        builds.clear()
+        for a in range(-3, 4):
+            for z in (1, F(-1, 2)):
+                assert seq.check_binomial_shift(G, a, z, a - 6)
+        assert builds and len(builds) == len(set(builds))
