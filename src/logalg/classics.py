@@ -116,16 +116,24 @@ def hermite_number(n: int, sigma: RatLike = HALF) -> Fraction:
 
 def laguerre_member(order: OrderTag, a: int, b: RatLike, floor: int) -> LogSeries:
     """The Laguerre member of grade b, via the closed form
-    (-1)^a (1-D)^{a+b} lam_a = sum_k C(a+b,k) rf(a)/rf(a-k) (-1)^{a-k} lam_{a-k}."""
+    (-1)^a (1-D)^{a+b} lam_a = sum_k C(a+b,k) rf(a)/rf(a-k) (-1)^{a-k} lam_{a-k}.
+
+    Successive coefficients differ by the factor
+    -(a+b-k) roman(a-k)/(k+1), which holds for every integer a because
+    rf(n) = roman(n) rf(n-1); once a+b-k hits zero every later term vanishes.
+    """
     b = Fraction(b)
     if order is OrderTag.ZERO and a < 0:
         return zero_series(order, floor)
-    out = zero_series(order, floor)
-    for k in range(a - floor + 1):
-        c = gen_binomial(a + b, k) * roman_ratio(a, a - k) * (-1) ** ((a - k) % 2)
-        if c != 0:
-            out = out + harmonic(order, a - k, floor).scale(c)
-    return out
+    low = floor if order is OrderTag.GENERIC else max(floor, 0)
+    out: dict[int, Fraction] = {}
+    c = Fraction((-1) ** (a % 2))
+    for k in range(a - low + 1):
+        if c == 0:
+            break
+        out[a - k] = c
+        c = c * -(a + b - k) * ((a - k) or 1) / (k + 1)
+    return LogSeries(order, floor, out)
 
 
 def laguerre_delta(cap: int) -> ArtinOp:

@@ -28,11 +28,16 @@ def _harmonic_number(n: int) -> float:
     return sum(1.0 / j for j in range(1, n + 1))
 
 
+def _check_x(x: float) -> None:
+    # written so that NaN fails too
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be positive and finite, got {x}")
+
+
 def eval_lambda(level: int, n: int, x: float) -> float:
     if level not in _LEVELS:
         raise ValueError("only iterated-log levels 0 and 1 are evaluated numerically")
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _check_x(x)
     if n < 0:
         return 0.0 if level == 0 else x**n
     if level == 0:
@@ -48,8 +53,7 @@ def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float]:
     """
     if p.order is OrderTag.ZERO and level != 0:
         raise ValueError("polynomial-order series evaluate at level 0 only")
-    if x <= 0:
-        raise ValueError("x must be positive")
+    _check_x(x)
     value = math.fsum(float(c) * eval_lambda(level, d, x) for d, c in p.coeffs.items())
     if p.coeffs:
         last = abs(float(p.coeffs[min(p.coeffs)]))

@@ -9,6 +9,17 @@ for a < 0, and the Euler-MacLaurin operator all live in one ring.
 Truncation bookkeeping is pessimistic but sound: the cap of every result
 is computed so that each retained coefficient is provably exact.  All
 operators are power series in the single symbol D, hence commute.
+
+Cap rules.  A zero operator with cap c has no known nonzero term; its
+first possibly nonzero term sits at c + 1, which plays the part of its
+lead below.
+
+* ``a * b`` is exact through min(a.cap + b.lead, b.cap + a.lead).
+* ``a ** n`` keeps the relative precision cap - lead of ``a``: its cap is
+  n*lead + (cap - lead) for every integer n, so ``recip()`` (n = -1) has
+  cap cap - 2*lead.  ``a ** 0`` is the identity at cap cap - lead (cap for
+  the zero operator), and the zero operator has no negative powers.
+* ``apply`` is exact down to max(p.floor - lead, top(p) - cap).
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from math import factorial
 from typing import Mapping, Union
 
 from .roman import roman_ratio
-from .series import LogSeries, OrderTag
+from .series import LogSeries, OrderTag, exact_int
 
 __all__ = [
     "ArtinOp",
@@ -75,6 +86,11 @@ class ArtinOp:
             raise ValueError(f"exponent {e} is above the truncation cap {self.cap}")
         return self.coeffs.get(e, Fraction(0))
 
+    def truncate(self, new_cap: int) -> "ArtinOp":
+        """Lower the truncation cap, dropping coefficients above it."""
+        cap = min(self.cap, new_cap)
+        return ArtinOp(cap, {e: c for e, c in self.coeffs.items() if e <= cap})
+
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other: "ArtinOp") -> "ArtinOp":
@@ -95,46 +111,59 @@ class ArtinOp:
     def __neg__(self) -> "ArtinOp":
         return self.scale(-1)
 
+    def _lead_bound(self) -> int:
+        """The lead, or cap + 1 for the zero operator: no term below it
+        can be nonzero."""
+        return self.lead if self.coeffs else self.cap + 1
+
     def __mul__(self, other: "ArtinOp") -> "ArtinOp":
         """Cauchy product.  The result cap is the largest exponent all of
         whose contributions are known: min(self.cap + other.lead,
-        other.cap + self.lead)."""
-        if self.is_zero() or other.is_zero():
-            return ArtinOp(self.cap + other.cap, {})
-        cap = min(self.cap + other.lead, other.cap + self.lead)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e <= cap:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return ArtinOp(cap, out)
+        other.cap + self.lead), a zero operator's lead counting as cap + 1."""
+        cap = min(self.cap + other._lead_bound(), other.cap + self._lead_bound())
+        return ArtinOp(cap, convolve(self.coeffs, other.coeffs, cap))
 
     def recip(self) -> "ArtinOp":
-        """Multiplicative inverse, by recursive division of truncated series."""
-        if self.is_zero():
-            raise ValueError("the zero operator has no reciprocal")
-        lead = self.lead
-        c0 = self.coeffs[lead]
-        n_terms = self.cap - lead
-        a = [self.coeffs.get(lead + i, Fraction(0)) / c0 for i in range(n_terms + 1)]
-        b = [Fraction(1)] + [Fraction(0)] * n_terms
-        for m in range(1, n_terms + 1):
-            b[m] = -sum(a[i] * b[m - i] for i in range(1, m + 1))
-        return ArtinOp(self.cap - 2 * lead, {-lead + m: b[m] / c0 for m in range(n_terms + 1)})
+        """Multiplicative inverse: ``self ** -1``."""
+        return self ** -1
 
     def __pow__(self, n: int) -> "ArtinOp":
-        if n < 0:
-            return self.recip() ** (-n)
-        result = identity_op(self.cap - (self.lead if not self.is_zero() else 0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        """Integer power, negative n included, in one O(cap^2) pass.
+
+        Write self = c0 D^lead g with g = 1 + g_1 D + g_2 D^2 + ...  The
+        coefficients of g^n follow J.C.P. Miller's recurrence (Knuth,
+        TAOCP Vol. 2, 4.7): b_0 = 1 and
+
+            m b_m = sum_{k=1..m} ((n+1) k - m) g_k b_{m-k},
+
+        which at n = -1 is recursive division.  Then
+        self^n = c0^n D^(n lead) g^n, known through n*lead + (cap - lead).
+        """
+        if self.is_zero():
+            if n < 0:
+                raise ValueError("the zero operator has no reciprocal")
+            return identity_op(self.cap) if n == 0 else ArtinOp(n * (self.cap + 1) - 1, {})
+        if n == 1:
+            return self
+        lead = self.lead
+        terms = self.cap - lead
+        if n == 0:
+            return identity_op(terms)
+        c0 = self.coeffs[lead]
+        g = sorted((e - lead, c / c0) for e, c in self.coeffs.items() if e != lead)
+        b = [Fraction(1)]
+        for m in range(1, terms + 1):
+            acc = Fraction(0)
+            for k, gk in g:
+                if k > m:
+                    break
+                w = (n + 1) * k - m
+                if w:
+                    acc += gk * b[m - k] * w
+            b.append(acc / m)
+        scale = c0**n
+        base = n * lead
+        return ArtinOp(base + terms, {base + m: scale * bm for m, bm in enumerate(b)})
 
     def compose(self, inner: "ArtinOp") -> "ArtinOp":
         """Substitute ``inner`` for D in self.  Requires self.lead >= 0 and
@@ -191,24 +220,31 @@ class ArtinOp:
 
         The result floor is max(p.floor - lead, top(p) - cap): below that,
         either truncated coefficients of p or of the operator would enter.
+        For each term p_d the Roman ratio rr(d, d-k) = rf(d)/rf(d-k) is
+        carried along k: one step down multiplies it by roman(d-k).
         """
-        if self.is_zero():
-            return LogSeries(p.order, p.floor, {})
-        lead = self.lead
+        lead = self._lead_bound()
         if p.order is OrderTag.ZERO and lead < 0:
             raise ValueError("negative powers of D do not act on polynomial-order series")
         top = p.top_degree()
         if top is None:
             return LogSeries(p.order, p.floor - lead, {})
         floor = max(p.floor - lead, top - self.cap)
+        if self.is_zero():
+            return LogSeries(p.order, floor, {})
+        # polynomial order keeps no negative degrees
+        low = floor if p.order is OrderTag.GENERIC else max(floor, 0)
+        coeffs = self.coeffs
         out: dict[int, Fraction] = {}
-        for k, ck in self.coeffs.items():
-            for d, cd in p.coeffs.items():
-                m = d - k
-                if m >= floor:
-                    out[m] = out.get(m, Fraction(0)) + ck * cd * roman_ratio(d, m)
-        if p.order is OrderTag.ZERO:
-            out = {d: c for d, c in out.items() if d >= 0}
+        for d, cd in p.coeffs.items():
+            if d - lead < low:
+                continue
+            term = cd * roman_ratio(d, d - lead)  # p_d rr(d, d-k) at k = lead
+            for k in range(lead, min(self.cap, d - low) + 1):
+                ck = coeffs.get(k)
+                if ck is not None:
+                    out[d - k] = out.get(d - k, 0) + ck * term
+                term *= (d - k) or 1  # roman(d - k)
         return LogSeries(p.order, floor, out)
 
     # -- serialization ------------------------------------------------
@@ -225,7 +261,12 @@ class ArtinOp:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ArtinOp":
-        return cls(int(obj["cap"]), {int(e): Fraction(c) for e, c in obj["coeffs"]})
+        try:
+            cap = exact_int(obj["cap"])
+            coeffs = {exact_int(e): Fraction(c) for e, c in obj["coeffs"]}
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"malformed operator object: {exc}") from exc
+        return cls(cap, coeffs)
 
     @classmethod
     def from_json(cls, text: str) -> "ArtinOp":

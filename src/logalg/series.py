@@ -169,9 +169,9 @@ class LogSeries:
     def from_obj(cls, obj: dict) -> "LogSeries":
         try:
             order = OrderTag(obj["order"])
-            coeffs = {int(d): Fraction(c) for d, c in obj["coeffs"]}
-            floor = int(obj["floor"])
-        except (KeyError, TypeError) as exc:
+            coeffs = {exact_int(d): Fraction(c) for d, c in obj["coeffs"]}
+            floor = exact_int(obj["floor"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed series object: {exc}") from exc
         return cls(order, floor, coeffs)
 
@@ -182,6 +182,14 @@ class LogSeries:
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid series JSON: {exc}") from exc
         return cls.from_obj(obj)
+
+
+def exact_int(value) -> int:
+    """An integer read from a JSON field.  Floats are accepted only with an
+    integral value, so 2.9 or 1e400 is rejected instead of truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def zero_series(order: OrderTag, floor: int) -> LogSeries:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Union
 
-from .operators import ArtinOp, convolve, identity_op, monomial_op
+from .operators import ArtinOp, convolve, identity_op, monomial_op, shift_op
 from .roman import roman, roman_coeff, roman_factorial
 from .series import LogSeries, OrderTag, agrees, harmonic, zero_series
 
@@ -89,7 +89,10 @@ class GradedSeq:
     """Lazily indexed family a -> LogSeries defined by a generator rule.
 
     Members are cached per (order, a) at the deepest floor computed so
-    far; the cache holds immutable values, so a concurrent duplicate
+    far.  The operators h, f and h**-1 are each kept at the deepest cap
+    asked so far and handed out as truncations, so one reciprocal serves
+    every member that needs no deeper one, and memory stays linear in the
+    cap.  The caches hold immutable values, so a concurrent duplicate
     fill is harmless.
     """
 
@@ -97,6 +100,7 @@ class GradedSeq:
         self.rule = rule
         self._cache: dict[tuple[OrderTag, int], LogSeries] = {}
         self._assoc: GradedSeq | None = None
+        self._ops: dict[str, ArtinOp] = {}
 
     # -- members ------------------------------------------------------
 
@@ -118,41 +122,54 @@ class GradedSeq:
             lam = harmonic(order, a, floor)
             if lam.is_zero():
                 return lam
-            h = _checked_h(rule.h, a - floor)
-            return h.recip().apply(lam)
+            return self._h_inverse(a - floor).apply(lam)
         if isinstance(rule, AssociatedRule):
-            return self._associated(rule.f, order, a, floor)
+            return self._associated(order, a, floor)
         if isinstance(rule, ShefferRule):
-            assoc = self._associated(rule.f, order, a, floor)
+            assoc = self._associated(order, a, floor)
             if assoc.is_zero():
                 return assoc
-            h = _checked_h(rule.h, a - floor)
-            return h.recip().apply(assoc).truncate(floor)
+            return self._h_inverse(a - floor).apply(assoc).truncate(floor)
         raise TypeError(f"unknown rule {rule!r}")
 
-    def _associated(self, factory: OpFactory, order: OrderTag, a: int, floor: int) -> LogSeries:
+    def _associated(self, order: OrderTag, a: int, floor: int) -> LogSeries:
+        """The transfer formula p_a = f'(D) (f(D)/D)**-(a+1) lam_a; the
+        power is one pass of ArtinOp.__pow__, no reciprocal."""
         lam = harmonic(order, a, floor)
         if lam.is_zero():
             return lam
-        f = _checked_f(factory, a - floor + _MARGIN)
+        f = self.delta_op(a - floor + _MARGIN)
         f_over_d = ArtinOp(f.cap - 1, {e - 1: c for e, c in f.coeffs.items()})
         transfer = f.deriv_wrt_d() * f_over_d ** (-(a + 1))
         return transfer.apply(lam).truncate(floor)
+
+    def _deepest(self, name: str, cap: int, build: OpFactory) -> ArtinOp:
+        """The operator ``name`` through D^cap, truncated from the deepest
+        one built so far."""
+        op = self._ops.get(name)
+        if op is None or op.cap < cap:
+            op = self._ops[name] = build(cap)
+        return op.truncate(cap)
+
+    def _h_inverse(self, cap: int) -> ArtinOp:
+        return self._deepest("h_inv", cap, lambda c: self.invertible_op(c).recip())
 
     # -- operator access ----------------------------------------------
 
     def delta_op(self, cap: int) -> ArtinOp:
         """The lowering (delta) operator of the sequence: f, or D for
         Appell and harmonic rules."""
+        cap = max(cap, 1)
         if isinstance(self.rule, (AssociatedRule, ShefferRule)):
-            return _checked_f(self.rule.f, cap)
-        return monomial_op(1, max(cap, 1))
+            return self._deepest("f", cap, lambda c: _checked_f(self.rule.f, c))
+        return monomial_op(1, cap)
 
     def invertible_op(self, cap: int) -> ArtinOp:
         """The degree-0 operator of the sequence: h, or the identity."""
+        cap = max(cap, 0)
         if isinstance(self.rule, (AppellRule, ShefferRule)):
-            return _checked_h(self.rule.h, cap)
-        return identity_op(max(cap, 0))
+            return self._deepest("h", cap, lambda c: _checked_h(self.rule.h, c))
+        return identity_op(cap)
 
     def associated_part(self) -> "GradedSeq":
         """The underlying associated sequence (the harmonic sequence for
@@ -181,15 +198,17 @@ class GradedSeq:
         """E^z s_a = sum_{b>=0} rc(a,b) <(0)| E^z p_b^{(0)} > s_{a-b},
         with p the underlying associated sequence."""
         z = Fraction(z)
-        lhs = self.member(order, a, floor).shift(z)
+        lhs = shift_op(z, a - floor).apply(self.member(order, a, floor))
         assoc = self.associated_part()
-        rhs = zero_series(order, floor)
+        rhs: dict[int, Fraction] = {}
         for b in range(a - floor + 1):
+            # <(0)| E^z p_b^{(0)} > is the polynomial p_b evaluated at z
             pb = assoc.member(OrderTag.ZERO, b, 0)
-            cb = roman_coeff(a, b) * pb.shift(z).eval_functional()
+            cb = roman_coeff(a, b) * sum(c * z**d for d, c in pb.coeffs.items())
             if cb != 0:
-                rhs = rhs + self.member(order, a - b, floor).scale(cb)
-        return agrees(lhs, rhs)
+                for d, c in self.member(order, a - b, floor).coeffs.items():
+                    rhs[d] = rhs.get(d, 0) + cb * c
+        return agrees(lhs, LogSeries(order, floor, rhs))
 
     def check_biorthogonality(self, a: int, b: int) -> bool:
         """<alpha| h(D) f(D)^b s_a > = rf(a) delta_ab, at generic order."""
@@ -198,7 +217,9 @@ class GradedSeq:
         cap = max(a, b, 0) + _MARGIN
         op = self.invertible_op(cap) * self.delta_op(cap) ** b
         s = self.member(OrderTag.GENERIC, a, min(a, b, 0))
-        value = op.apply(s).eval_functional()
+        # <alpha| op s > = sum_d op_d s_d rf(d).  Exact: s is known down to
+        # min(a, b, 0) <= b = op.lead, and op up to b + cap - 1 > a = top(s).
+        value = sum(op.coeffs.get(d, 0) * c * roman_factorial(d) for d, c in s.coeffs.items())
         expected = roman_factorial(a) if a == b else Fraction(0)
         return value == expected
 
@@ -230,7 +251,8 @@ class GradedSeq:
     def reconstruct(self, coeffs: Mapping[int, Fraction], order: OrderTag, floor: int) -> LogSeries:
         """sum_a c_a s_a down to the given floor."""
         out = zero_series(order, floor)
-        for a, c in coeffs.items():
+        # deepest member first, so one h**-1 serves every degree
+        for a, c in sorted(coeffs.items(), reverse=True):
             out = out + self.member(order, a, floor).scale(c)
         return out
 
@@ -246,12 +268,13 @@ class GradedSeq:
         if h_target.is_zero():
             return {}
         out: dict[int, Fraction] = {}
-        for a in range(a_min, h_target.cap + 1):
+        # deepest member first, so one h**-1 serves every degree
+        for a in range(h_target.cap, a_min - 1, -1):
             s = self.member(OrderTag.GENERIC, a, min(h_target.lead, a, 0))
             d = h_target.apply(s).eval_functional() / roman_factorial(a)
             if d != 0:
                 out[a] = d
-        return out
+        return dict(sorted(out.items()))
 
     def expansion_basis_op(self, a: int, cap: int) -> ArtinOp:
         """The operator g(D) f(D)^a paired with expand_operator."""
@@ -289,7 +312,8 @@ class GradedSeq:
         composition and O(K^3) for the products.
         """
         coeffs = self._genfun_coefficients(K, K + 1)
-        for k in range(K + 1):
+        # deepest member first, so one h**-1 serves every degree
+        for k in range(K, -1, -1):
             member = self.member(OrderTag.ZERO, k, 0).scale(1 / roman_factorial(k))
             if coeffs[k] != member:
                 return False

@@ -3,9 +3,9 @@
 from fractions import Fraction
 from math import comb
 
-from logalg.operators import ArtinOp
-from logalg.roman import roman_coeff
-from logalg.series import LogSeries
+from logalg.operators import ArtinOp, gen_binomial, identity_op
+from logalg.roman import roman_coeff, roman_ratio
+from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 
 
 def classical_bernoulli(n):
@@ -39,3 +39,71 @@ def shift_by_roman_coeff(p, z):
         for k in range(a - p.floor + 1):
             out[a - k] = out.get(a - k, Fraction(0)) + c * roman_coeff(a, k) * z**k
     return LogSeries(p.order, p.floor, out)
+
+
+def recip_by_division(op):
+    """Multiplicative inverse by recursive division of truncated series:
+    b_0 = 1, b_m = -sum_{i=1..m} a_i b_{m-i} on the normalised series."""
+    if op.is_zero():
+        raise ValueError("the zero operator has no reciprocal")
+    lead = op.lead
+    c0 = op.coeffs[lead]
+    n_terms = op.cap - lead
+    a = [op.coeffs.get(lead + i, Fraction(0)) / c0 for i in range(n_terms + 1)]
+    b = [Fraction(1)] + [Fraction(0)] * n_terms
+    for m in range(1, n_terms + 1):
+        b[m] = -sum(a[i] * b[m - i] for i in range(1, m + 1))
+    return ArtinOp(op.cap - 2 * lead, {-lead + m: b[m] / c0 for m in range(n_terms + 1)})
+
+
+def pow_by_squaring(op, n):
+    """op**n by binary powering from the identity, through
+    recip_by_division for negative n: the power Miller's recurrence
+    replaced."""
+    if n < 0:
+        return pow_by_squaring(recip_by_division(op), -n)
+    result = identity_op(op.cap - (op.lead if not op.is_zero() else 0))
+    base = op
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def apply_by_roman_ratio(op, p):
+    """The action (Ap)_m = sum_k c_k rr(m+k, m) p_{m+k}, each Roman ratio
+    computed from scratch.  A zero operator counts as having lead cap + 1,
+    its first possibly nonzero term."""
+    lead = op.cap + 1 if op.is_zero() else op.lead
+    if p.order is OrderTag.ZERO and lead < 0:
+        raise ValueError("negative powers of D do not act on polynomial-order series")
+    top = p.top_degree()
+    if top is None:
+        return LogSeries(p.order, p.floor - lead, {})
+    floor = max(p.floor - lead, top - op.cap)
+    out = {}
+    for k, ck in op.coeffs.items():
+        for d, cd in p.coeffs.items():
+            m = d - k
+            if m >= floor:
+                out[m] = out.get(m, Fraction(0)) + ck * cd * roman_ratio(d, m)
+    if p.order is OrderTag.ZERO:
+        out = {d: c for d, c in out.items() if d >= 0}
+    return LogSeries(p.order, floor, out)
+
+
+def laguerre_by_terms(order, a, b, floor):
+    """The Laguerre closed form sum_k C(a+b,k) rf(a)/rf(a-k) (-1)^{a-k}
+    lam_{a-k}, each term from a generalised binomial and a Roman ratio."""
+    b = Fraction(b)
+    if order is OrderTag.ZERO and a < 0:
+        return zero_series(order, floor)
+    out = zero_series(order, floor)
+    for k in range(a - floor + 1):
+        c = gen_binomial(a + b, k) * roman_ratio(a, a - k) * (-1) ** ((a - k) % 2)
+        if c != 0:
+            out = out + harmonic(order, a - k, floor).scale(c)
+    return out

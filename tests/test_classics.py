@@ -20,7 +20,7 @@ from logalg.classics import (
     residual_bernoulli,
 )
 from logalg.series import OrderTag, agrees
-from oracles import classical_bernoulli
+from oracles import classical_bernoulli, laguerre_by_terms
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -133,6 +133,14 @@ def test_laguerre_zero_order_classical_rows():
     # grade 0: L_2(x) = x^2 - 4x + 2 (the 2!-normalized Laguerre polynomial)
     assert laguerre_member(Z, 2, 0, 0).coeffs == {2: F(1), 1: F(-4), 0: F(2)}
     assert laguerre_member(Z, 1, 0, 0).coeffs == {1: F(-1), 0: F(1)}
+
+
+@pytest.mark.parametrize("b", [0, 1, 3, F(1, 2), F(-1, 2), -2, F(7, 3)])
+def test_laguerre_member_matches_term_by_term_sum(b):
+    for order in (G, Z):
+        for a in range(-6, 9):
+            for floor in (a - 9, a - 3, a):
+                assert laguerre_member(order, a, b, floor) == laguerre_by_terms(order, a, b, floor)
 
 
 def test_laguerre_sheffer_route_matches_closed_form_up_to_sign():

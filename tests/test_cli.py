@@ -68,7 +68,36 @@ def test_expand_bad_json_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        '{"order": "generic", "floor": -2, "coeffs": [[1, "1/0"]]}',
+        '{"order": "generic", "floor": 1e400, "coeffs": [[1, "1"]]}',
+        '{"order": "generic", "floor": -2.9, "coeffs": [[1, "1"]]}',
+        '{"order": "generic", "floor": -2, "coeffs": [[1.7, "1"]]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["expand", "eval"])
+def test_malformed_series_exit_2(capsys, series, command):
+    # each must be rejected, neither raised as a traceback (exit 1) nor truncated
+    args = ["--basis", "bernoulli", "--amin", "0"] if command == "expand" else ["--level", "1", "--x", "2"]
+    code, out, err = run(capsys, command, "--series", series, *args)
+    assert code == 2
+    assert out == ""
+    assert "malformed series" in err
+
+
 # -- verify --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("what", ["em", "sheffer"])
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_verify_depth_below_one_rejected(capsys, what, depth):
+    # depth 0 would print nothing (em) or a pass after comparing one coefficient (sheffer)
+    code, out, err = run(capsys, "verify", what, f"--depth={depth}")
+    assert code == 2
+    assert out == ""
+    assert "--depth" in err
 
 
 def test_verify_em_passes(capsys):
@@ -162,6 +191,15 @@ def test_eval_table_json_roundtrip(capsys):
     code, out, _ = run(capsys, "eval", "--series", series, "--level", "1", "--x", "10")
     assert code == 0
     assert float(out.strip()) > 0
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_x(capsys, x):
+    series = LogSeries(OrderTag.GENERIC, -3, {-1: F(1)}).to_json()
+    code, out, err = run(capsys, "eval", "--series", series, "--level", "1", f"--x={x}")
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_unknown_subcommand_exit_2(capsys):

@@ -16,7 +16,13 @@ from logalg.operators import (
     weierstrass,
 )
 from logalg.series import LogSeries, OrderTag, harmonic
-from oracles import classical_bernoulli, comp_inverse_by_compose
+from oracles import (
+    apply_by_roman_ratio,
+    classical_bernoulli,
+    comp_inverse_by_compose,
+    pow_by_squaring,
+    recip_by_division,
+)
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -188,10 +194,6 @@ def test_comp_inverse_never_composes(monkeypatch):
     assert forward_difference(12).comp_inverse().coeffs[12] == F(-1, 12)
 
 
-def truncated(op, cap):
-    return ArtinOp(cap, {e: c for e, c in op.coeffs.items() if e <= cap})
-
-
 def random_series_op(rng, cap):
     return ArtinOp(cap, {k: F(rng.randint(-4, 4), rng.randint(1, 5)) for k in range(cap + 1)})
 
@@ -205,12 +207,128 @@ def test_cap_soundness_of_compose_and_comp_inverse(seed):
     outer = random_series_op(rng, c + 25)
     inner = random_delta(rng, c + 25, F(rng.choice([1, -2, 3]), rng.randint(1, 3)))
     pairs = [
-        (truncated(outer, c).compose(truncated(inner, c)), outer.compose(inner)),
-        (truncated(inner, c).comp_inverse(), inner.comp_inverse()),
+        (outer.truncate(c).compose(inner.truncate(c)), outer.compose(inner)),
+        (inner.truncate(c).comp_inverse(), inner.comp_inverse()),
     ]
     for small, big in pairs:
         assert small.cap <= big.cap
         assert op_agrees(small, big)
+
+
+def test_truncate_lowers_cap():
+    op = bernoulli_j(6)
+    assert op.truncate(3) == bernoulli_j(3)
+    assert op.truncate(9) == op
+
+
+# -- power and action against the algorithms they replaced --------------
+
+LEADING = [F(1), F(-1), F(3), F(-2, 5)]
+
+
+def random_laurent_op(rng, lead, width, c0):
+    """c0 D^lead plus random terms through D^(lead + width)."""
+    coeffs = {lead: F(c0)}
+    for e in range(lead + 1, lead + width + 1):
+        coeffs[e] = F(rng.randint(-4, 4), rng.randint(1, 5))
+    return ArtinOp(lead + width, coeffs)
+
+
+def random_series(rng, order, floor_min=-6):
+    floor = rng.randint(floor_min, 2)
+    if order is Z:
+        floor = max(floor, 0)
+    top = floor + rng.randint(0, 7)
+    return LogSeries(order, floor, {d: F(rng.randint(-3, 3), rng.randint(1, 4)) for d in range(floor, top + 1)})
+
+
+@pytest.mark.parametrize("lead", range(-2, 3))
+def test_pow_matches_binary_powering(lead):
+    rng = random.Random(100 + lead)
+    for c0 in LEADING:
+        for width in (0, 1, 4, 9):
+            op = random_laurent_op(rng, lead, width, c0)
+            for n in range(-6, 7):
+                got, want = op**n, pow_by_squaring(op, n)
+                assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+            got, want = op.recip(), recip_by_division(op)
+            assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_pow_of_zero_operator_matches_binary_powering(cap):
+    zero = ArtinOp(cap, {})
+    for n in range(7):
+        got, want = zero**n, pow_by_squaring(zero, n)
+        assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+    for n in range(-6, 0):
+        with pytest.raises(ValueError):
+            zero**n
+
+
+@pytest.mark.parametrize("lead", range(-2, 3))
+def test_apply_matches_roman_ratio_sum(lead):
+    rng = random.Random(200 + lead)
+    ops = [random_laurent_op(rng, lead, w, c0) for w in (0, 3, 8) for c0 in LEADING]
+    ops.append(ArtinOp(lead + 2, {}))
+    for order in (G, Z):
+        for op in ops:
+            for _ in range(4):
+                p = random_series(rng, order)
+                if order is Z and lead < 0 and not op.is_zero():
+                    with pytest.raises(ValueError):
+                        op.apply(p)
+                    continue
+                assert op.apply(p) == apply_by_roman_ratio(op, p)
+
+
+# -- cap and floor soundness: cap c against cap c + 25 ------------------
+
+
+def sound_pairs(rng, order):
+    """(small, big) results of *, recip, ** and apply, each small one
+    computed from inputs truncated 25 exponents or degrees earlier."""
+    c = rng.randint(0, 8)
+    ops = []
+    for _ in range(2):
+        lead = rng.randint(0 if order is Z else -2, 2)
+        big = random_laurent_op(rng, lead, c + 25, rng.choice(LEADING))
+        ops.append((big.truncate(lead + c), big))
+    # a truncation that leaves the zero operator: the first term sits at c + 1
+    big = random_laurent_op(rng, c + 1, 25, rng.choice(LEADING))
+    ops.append((big.truncate(c), big))
+    (a, big_a), (b, big_b), (z, big_z) = ops
+    pairs = [(a * b, big_a * big_b), (z * b, big_z * big_b), (b * z, big_b * big_z)]
+    pairs.append((z * z, big_z * big_z))
+    pairs.append((a.recip(), big_a.recip()))
+    pairs += [(a**n, big_a**n) for n in range(-6, 7)]
+    pairs += [(z**n, big_z**n) for n in range(7)]
+    big_p = random_series(rng, order, floor_min=-6)
+    big_p = LogSeries(order, big_p.floor - 25, big_p.coeffs)
+    p = big_p.truncate(big_p.floor + 25)
+    pairs += [(op.apply(p), big.apply(big_p)) for op, big in ops]
+    # a series whose truncation is zero: every known term lies below floor f
+    f = rng.randint(6, 9)
+    big_p = LogSeries(order, f - 25, {f - 1 - j: F(rng.randint(1, 5), rng.randint(1, 3)) for j in range(6)})
+    p = big_p.truncate(f)
+    pairs += [(op.apply(p), big.apply(big_p)) for op, big in ops]
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cap_soundness_of_mul_recip_pow_and_apply(seed):
+    # results at cap c and c+25 must agree wherever the cap-c result
+    # claims to be exact
+    rng = random.Random(seed)
+    for order in (G, Z):
+        for small, big in sound_pairs(rng, order):
+            if isinstance(small, ArtinOp):
+                assert small.cap <= big.cap
+                assert op_agrees(small, big)
+            else:
+                assert small.floor >= big.floor
+                fl = small.floor
+                assert small.truncate(fl) == big.truncate(fl)
 
 
 # -- action on series --------------------------------------------------
@@ -258,3 +376,19 @@ def test_dj_equals_forward_difference():
 def test_json_roundtrip():
     op = bernoulli_j(4).recip()
     assert ArtinOp.from_json(op.to_json()) == op
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"cap": 2, "coeffs": [[1, "1/0"]]},
+        {"cap": 1e400, "coeffs": []},
+        {"cap": 2.5, "coeffs": []},
+        {"cap": 3, "coeffs": [[1.5, "1"]]},
+        {"cap": 3},
+        [3, []],
+    ],
+)
+def test_from_obj_rejects_malformed(obj):
+    with pytest.raises(ValueError):
+        ArtinOp.from_obj(obj)

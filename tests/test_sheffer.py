@@ -285,17 +285,23 @@ def test_genfun_detects_wrong_member():
 # -- batched generating-function check and shared associated part -------
 
 
-def test_genfun_check_inverts_once(monkeypatch):
+def count_calls(monkeypatch, cls, name):
+    """Record the receiver of every call to cls.name."""
     calls = []
-    original = ArtinOp.comp_inverse
+    original = getattr(cls, name)
 
-    def counting(self):
-        calls.append(self.cap)
-        return original(self)
+    def counting(self, *args):
+        calls.append(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(ArtinOp, "comp_inverse", counting)
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_genfun_check_inverts_once(monkeypatch):
+    calls = count_calls(monkeypatch, ArtinOp, "comp_inverse")
     assert laguerre_sheffer_seq(1).genfun_check_order_zero(10)
-    assert calls == [11]
+    assert [f.cap for f in calls] == [11]
 
 
 @pytest.mark.parametrize("seq", named_sequences())
@@ -348,3 +354,71 @@ def test_binomial_shift_builds_each_associated_member_once(monkeypatch):
             for z in (1, F(-1, 2)):
                 assert seq.check_binomial_shift(G, a, z, a - 6)
         assert builds and len(builds) == len(set(builds))
+
+
+# -- one reciprocal per sequence ----------------------------------------
+
+
+SEQUENCE_MAKERS = [
+    bernoulli_seq,
+    lambda: hermite_seq(F(1, 2)),
+    lambda: laguerre_sheffer_seq(F(1, 2)),
+    lambda: GradedSeq(AssociatedRule(forward_difference)),
+    lambda: GradedSeq(HarmonicRule()),
+]
+
+
+def has_h(seq):
+    return isinstance(seq.rule, (AppellRule, ShefferRule))
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_genfun_check_members_share_one_reciprocal(monkeypatch, make):
+    K = 10
+    recips = count_calls(monkeypatch, ArtinOp, "recip")
+    make()._genfun_coefficients(K, K + 1)
+    shared = len(recips)  # inside f_inv and G, not the members
+    recips.clear()
+    seq = make()
+    assert seq.genfun_check_order_zero(K)
+    assert len(recips) == shared + has_h(seq)
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_identity_sweep_shares_one_reciprocal(monkeypatch, make):
+    recips = count_calls(monkeypatch, ArtinOp, "recip")
+    seq, d = make(), 8
+    for a in range(-d // 2, d // 2 + 1):
+        assert seq.check_lowering(G, a, a - d)
+        assert seq.check_binomial_shift(G, a, F(3, 2), a - d)
+    assert len(recips) == has_h(seq)
+
+
+def test_expand_and_reconstruct_share_one_reciprocal(monkeypatch):
+    recips = count_calls(monkeypatch, ArtinOp, "recip")
+    coeffs = bernoulli_seq().expand_operator(bernoulli_j(12), 0)
+    assert len(recips) == 1
+    assert list(coeffs) == sorted(coeffs)
+    recips.clear()
+    bernoulli_seq().reconstruct({a: F(1, a + 1) for a in range(10)}, G, -5)
+    assert len(recips) == 1
+
+
+def test_binomial_shift_never_shifts(monkeypatch):
+    def forbidden(self, z):
+        raise AssertionError("check_binomial_shift must not call LogSeries.shift")
+
+    monkeypatch.setattr(LogSeries, "shift", forbidden)
+    for seq in named_sequences():
+        for a in (-2, 0, 3):
+            for z in (0, 1, F(-2, 3)):
+                assert seq.check_binomial_shift(G, a, z, a - 6)
+
+
+def test_members_from_truncated_reciprocal_match_fresh_ones():
+    for make in SEQUENCE_MAKERS:
+        warm = make()
+        warm.member(G, 4, -12)  # builds h**-1 deeper than the members below
+        for order in (G, Z):
+            for a in (-3, 0, 2, 5):
+                assert warm.member(order, a, a - 5) == make().member(order, a, a - 5)
