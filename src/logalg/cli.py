@@ -75,7 +75,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.what in ("em", "sheffer") and args.depth < 1:
+    if args.depth < 1:
         raise ValueError(f"verify {args.what} needs --depth of at least 1, got {args.depth}")
     ok = True
     if args.what == "em":

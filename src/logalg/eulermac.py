@@ -39,14 +39,12 @@ class EMReport:
     truncation_order: int
     residual_lead: int | None
     symbolic_ok: bool
-    numeric_abs_err: float | None = None
 
     def to_obj(self) -> dict:
         return {
             "truncation_order": self.truncation_order,
             "residual_lead": self.residual_lead,
             "symbolic_ok": self.symbolic_ok,
-            "numeric_abs_err": self.numeric_abs_err,
         }
 
     def to_json(self) -> str:
@@ -92,12 +90,16 @@ def lambda_sum_closed_form(
     direct = zero_series(order, floor)
     for j in range(k + 1):
         direct = direct + lam.shift(j)
-    if order is OrderTag.ZERO and a + 1 < 0:
-        bern = zero_series(order, floor)
-    else:
-        bern = bernoulli_member(order, a + 1, min(floor, a + 1))
+    bern = bernoulli_member(order, a + 1, min(floor, a + 1))
     closed = (bern.shift(k + 1) - bern).scale(1 / roman(a + 1)).truncate(floor)
     return direct.truncate(closed.floor), closed
+
+
+def _sum_args(x: RatLike, n: int, order_cutoff: int) -> Fraction:
+    x = Fraction(x)
+    if x <= 0 or n < 0 or order_cutoff < 0:
+        raise ValueError(f"need x > 0, n >= 0 and order >= 0, got {x}, {n}, {order_cutoff}")
+    return x
 
 
 def _bernoulli_weights(cutoff: int) -> list[Fraction]:
@@ -111,9 +113,7 @@ def harmonic_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[Fraction, 
     the right side evaluates the truncated expansion in floats.  Returns
     (exact_lhs, series_rhs, abs_err).
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _sum_args(x, n, order_cutoff)
     lhs = sum((1 / (x + j) for j in range(n + 1)), Fraction(0))
     xf, Xf = float(x), float(x + n + 1)
     rhs = math.log(Xf) - math.log(xf)  # B_0 term: the integral of 1/t
@@ -131,9 +131,7 @@ def stirling_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[float, flo
     The left side is a direct floating-point log summation (the oracle).
     Returns (lhs, series_rhs, abs_err).
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("x must be positive")
+    x = _sum_args(x, n, order_cutoff)
     xf, Xf = float(x), float(x + n + 1)
     lhs = sum(math.log(float(x + j)) for j in range(n + 1))
     rhs = Xf * math.log(Xf) - xf * math.log(xf) - (n + 1)  # B_0: integral of log t

@@ -51,8 +51,8 @@ def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float]:
     trunc_bound is a crude tail indicator built from the last retained
     coefficient, not a certified bound.
     """
-    if p.order is OrderTag.ZERO and level != 0:
-        raise ValueError("polynomial-order series evaluate at level 0 only")
+    if level != (0 if p.order is OrderTag.ZERO else 1):
+        raise ValueError("zero-order series evaluate at level 0, generic-order ones at level 1")
     _check_x(x)
     value = math.fsum(float(c) * eval_lambda(level, d, x) for d, c in p.coeffs.items())
     if p.coeffs:

@@ -19,7 +19,11 @@ lead below.
   n*lead + (cap - lead) for every integer n, so ``recip()`` (n = -1) has
   cap cap - 2*lead.  ``a ** 0`` is the identity at cap cap - lead (cap for
   the zero operator), and the zero operator has no negative powers.
-* ``apply`` is exact down to max(p.floor - lead, top(p) - cap).
+* ``apply`` is the product; its floor is minus the product cap.  D lowers
+  lam_d / rf(d) by one index, so p = sum_d c_d lam_d acts as the operator
+  sum_d c_d rf(d) D^(-d), known through D^(-p.floor) (Loeb & Rota, Adv.
+  Math. 75, 1989).  Operators only lower degree, so at polynomial order
+  the result is the generic one without its negative degrees.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Mapping, Union
 
-from .roman import roman_ratio
-from .series import LogSeries, OrderTag, exact_int
+from .roman import roman_factorial
+from .series import LogSeries, OrderTag, exact_int, exact_rational
 
 __all__ = [
     "ArtinOp",
@@ -98,7 +102,7 @@ class ArtinOp:
         out = {e: c for e, c in self.coeffs.items() if e <= cap}
         for e, c in other.coeffs.items():
             if e <= cap:
-                out[e] = out.get(e, Fraction(0)) + c
+                out[e] = out.get(e, 0) + c
         return ArtinOp(cap, out)
 
     def __sub__(self, other: "ArtinOp") -> "ArtinOp":
@@ -116,11 +120,14 @@ class ArtinOp:
         can be nonzero."""
         return self.lead if self.coeffs else self.cap + 1
 
+    def _product_cap(self, cap: int, lead: int) -> int:
+        """Cap of the product with a factor of this cap and lead."""
+        return min(self.cap + lead, cap + self._lead_bound())
+
     def __mul__(self, other: "ArtinOp") -> "ArtinOp":
-        """Cauchy product.  The result cap is the largest exponent all of
-        whose contributions are known: min(self.cap + other.lead,
+        """Cauchy product, exact through min(self.cap + other.lead,
         other.cap + self.lead), a zero operator's lead counting as cap + 1."""
-        cap = min(self.cap + other._lead_bound(), other.cap + self._lead_bound())
+        cap = self._product_cap(other.cap, other._lead_bound())
         return ArtinOp(cap, convolve(self.coeffs, other.coeffs, cap))
 
     def recip(self) -> "ArtinOp":
@@ -181,10 +188,10 @@ class ArtinOp:
         power = {0: Fraction(1)}
         for k in range(1, self.cap + 1):
             power = convolve(power, inner.coeffs, cap)
-            ck = self.coeffs.get(k, Fraction(0))
-            if ck:
+            ck = self.coeffs.get(k)
+            if ck is not None:
                 for e, v in power.items():
-                    out[e] = out.get(e, Fraction(0)) + ck * v
+                    out[e] = out.get(e, 0) + ck * v
             if not power:
                 break
         return ArtinOp(cap, out)
@@ -215,37 +222,29 @@ class ArtinOp:
 
     # -- action on logarithmic series ---------------------------------
 
-    def apply(self, p: LogSeries) -> LogSeries:
-        """Act on a logarithmic series: (Ap)_m = sum_k c_k rr(m+k, m) p_{m+k}.
-
-        The result floor is max(p.floor - lead, top(p) - cap): below that,
-        either truncated coefficients of p or of the operator would enter.
-        For each term p_d the Roman ratio rr(d, d-k) = rf(d)/rf(d-k) is
-        carried along k: one step down multiplies it by roman(d-k).
-        """
-        lead = self._lead_bound()
-        if p.order is OrderTag.ZERO and lead < 0:
+    def _series_cap(self, p: LogSeries) -> int:
+        """Cap of the product with p read as an operator, lead -top(p)."""
+        if p.order is OrderTag.ZERO and self._lead_bound() < 0:
             raise ValueError("negative powers of D do not act on polynomial-order series")
-        top = p.top_degree()
-        if top is None:
-            return LogSeries(p.order, p.floor - lead, {})
-        floor = max(p.floor - lead, top - self.cap)
-        if self.is_zero():
-            return LogSeries(p.order, floor, {})
-        # polynomial order keeps no negative degrees
-        low = floor if p.order is OrderTag.GENERIC else max(floor, 0)
-        coeffs = self.coeffs
-        out: dict[int, Fraction] = {}
-        for d, cd in p.coeffs.items():
-            if d - lead < low:
-                continue
-            term = cd * roman_ratio(d, d - lead)  # p_d rr(d, d-k) at k = lead
-            for k in range(lead, min(self.cap, d - low) + 1):
-                ck = coeffs.get(k)
-                if ck is not None:
-                    out[d - k] = out.get(d - k, 0) + ck * term
-                term *= (d - k) or 1  # roman(d - k)
-        return LogSeries(p.order, floor, out)
+        return self._product_cap(-p.floor, -max(p.coeffs, default=p.floor - 1))
+
+    def apply(self, p: LogSeries) -> LogSeries:
+        """Act on a logarithmic series: the product with p read as the
+        operator sum_d c_d rf(d) D^(-d), read back in the lam basis."""
+        cap = self._series_cap(p)
+        terms = {-d: c * roman_factorial(d) for d, c in p.coeffs.items()}
+        # negative degrees, the exponents above 0, do not exist at polynomial order
+        prod = convolve(self.coeffs, terms, cap if p.order is OrderTag.GENERIC else min(cap, 0))
+        return LogSeries(p.order, -cap, {-e: c / roman_factorial(-e) for e, c in prod.items()})
+
+    def pair(self, p: LogSeries) -> Fraction:
+        """<alpha| A p>: the degree-0 term of ``apply(p)``,
+        sum_d A_d c_d rf(d), under the same cap."""
+        if self._series_cap(p) < 0:
+            raise ValueError("floor > 0: the lam_0 coefficient was truncated away")
+        a = self.coeffs
+        terms = (a[d] * c * roman_factorial(d) for d, c in p.coeffs.items() if d in a)
+        return sum(terms, Fraction(0))
 
     # -- serialization ------------------------------------------------
 
@@ -263,7 +262,7 @@ class ArtinOp:
     def from_obj(cls, obj: dict) -> "ArtinOp":
         try:
             cap = exact_int(obj["cap"])
-            coeffs = {exact_int(e): Fraction(c) for e, c in obj["coeffs"]}
+            coeffs = {exact_int(e): exact_rational(c) for e, c in obj["coeffs"]}
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"malformed operator object: {exc}") from exc
         return cls(cap, coeffs)
@@ -283,7 +282,7 @@ def convolve(
         for e2, c2 in b.items():
             e = e1 + e2
             if e <= cap:
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c != 0}
 
 

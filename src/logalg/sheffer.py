@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Union
 
-from .operators import ArtinOp, convolve, identity_op, monomial_op, shift_op
+from .operators import ArtinOp, convolve, identity_op, monomial_op
 from .roman import roman, roman_coeff, roman_factorial
 from .series import LogSeries, OrderTag, agrees, harmonic, zero_series
 
@@ -198,7 +198,7 @@ class GradedSeq:
         """E^z s_a = sum_{b>=0} rc(a,b) <(0)| E^z p_b^{(0)} > s_{a-b},
         with p the underlying associated sequence."""
         z = Fraction(z)
-        lhs = shift_op(z, a - floor).apply(self.member(order, a, floor))
+        lhs = self.member(order, a, floor).shift(z)
         assoc = self.associated_part()
         rhs: dict[int, Fraction] = {}
         for b in range(a - floor + 1):
@@ -216,12 +216,8 @@ class GradedSeq:
             raise ValueError("biorthogonality index b must be nonnegative")
         cap = max(a, b, 0) + _MARGIN
         op = self.invertible_op(cap) * self.delta_op(cap) ** b
-        s = self.member(OrderTag.GENERIC, a, min(a, b, 0))
-        # <alpha| op s > = sum_d op_d s_d rf(d).  Exact: s is known down to
-        # min(a, b, 0) <= b = op.lead, and op up to b + cap - 1 > a = top(s).
-        value = sum(op.coeffs.get(d, 0) * c * roman_factorial(d) for d, c in s.coeffs.items())
-        expected = roman_factorial(a) if a == b else Fraction(0)
-        return value == expected
+        value = op.pair(self.member(OrderTag.GENERIC, a, min(a, b, 0)))
+        return value == (roman_factorial(a) if a == b else 0)
 
     # -- expansions ----------------------------------------------------
 
@@ -238,12 +234,9 @@ class GradedSeq:
         if p.order is OrderTag.ZERO and a_min < 0:
             raise ValueError("negative basis indices require generic order")
         cap = top - min(a_min, p.floor, 0) + 2 * _MARGIN
-        h = self.invertible_op(cap)
-        f = self.delta_op(cap)
         out: dict[int, Fraction] = {}
         for a in range(a_min, top + 1):
-            op = h * f**a
-            c = op.apply(p).eval_functional() / roman_factorial(a)
+            c = self.expansion_basis_op(a, cap).pair(p) / roman_factorial(a)
             if c != 0:
                 out[a] = c
         return out
@@ -271,7 +264,7 @@ class GradedSeq:
         # deepest member first, so one h**-1 serves every degree
         for a in range(h_target.cap, a_min - 1, -1):
             s = self.member(OrderTag.GENERIC, a, min(h_target.lead, a, 0))
-            d = h_target.apply(s).eval_functional() / roman_factorial(a)
+            d = h_target.pair(s) / roman_factorial(a)
             if d != 0:
                 out[a] = d
         return dict(sorted(out.items()))

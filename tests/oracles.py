@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 
 from logalg.operators import ArtinOp, gen_binomial, identity_op
-from logalg.roman import roman_coeff, roman_ratio
+from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 
 
@@ -39,6 +39,23 @@ def shift_by_roman_coeff(p, z):
         for k in range(a - p.floor + 1):
             out[a - k] = out.get(a - k, Fraction(0)) + c * roman_coeff(a, k) * z**k
     return LogSeries(p.order, p.floor, out)
+
+
+def derivative_by_roman(p):
+    """D p by D lam_d = roman(d) lam_{d-1}, the negative degree dropped at
+    polynomial order: the loop that became ``apply`` of D."""
+    out = {d - 1: roman(d) * c for d, c in p.coeffs.items()}
+    if p.order is OrderTag.ZERO:
+        out.pop(-1, None)
+    return LogSeries(p.order, p.floor - 1, out)
+
+
+def antiderivative_by_roman(p):
+    """D**-1 p by D**-1 lam_d = lam_{d+1} / roman(d+1), generic order
+    only: the loop that became ``apply`` of D**-1."""
+    if p.order is OrderTag.ZERO:
+        raise ValueError("D is not invertible on polynomial-order series")
+    return LogSeries(p.order, p.floor + 1, {d + 1: c / roman(d + 1) for d, c in p.coeffs.items()})
 
 
 def recip_by_division(op):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from logalg.series import LogSeries, OrderTag, harmonic
 F = Fraction
 
 LAM2 = harmonic(OrderTag.GENERIC, 2, -8).to_json()
+CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "cli_catalogue.json"
 
 
 def run(capsys, *argv):
@@ -75,11 +78,15 @@ def test_expand_bad_json_exit_2(capsys):
         '{"order": "generic", "floor": 1e400, "coeffs": [[1, "1"]]}',
         '{"order": "generic", "floor": -2.9, "coeffs": [[1, "1"]]}',
         '{"order": "generic", "floor": -2, "coeffs": [[1.7, "1"]]}',
+        '{"order": "generic", "floor": -2, "coeffs": [[1, 0.1]]}',
+        '{"order": "generic", "floor": true, "coeffs": [[1, "1"]]}',
+        '{"order": "generic", "floor": -2, "coeffs": [[true, "1"]]}',
+        '{"order": "generic", "floor": -2, "coeffs": [[1, true]]}',
     ],
 )
 @pytest.mark.parametrize("command", ["expand", "eval"])
 def test_malformed_series_exit_2(capsys, series, command):
-    # each must be rejected, neither raised as a traceback (exit 1) nor truncated
+    # each must be rejected, neither raised as a traceback (exit 1) nor coerced
     args = ["--basis", "bernoulli", "--amin", "0"] if command == "expand" else ["--level", "1", "--x", "2"]
     code, out, err = run(capsys, command, "--series", series, *args)
     assert code == 2
@@ -90,14 +97,17 @@ def test_malformed_series_exit_2(capsys, series, command):
 # -- verify --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("what", ["em", "sheffer"])
-@pytest.mark.parametrize("depth", ["0", "-3"])
+@pytest.mark.parametrize("what", ["em", "sheffer", "genfun"])
+@pytest.mark.parametrize("depth", ["0", "-3", "-1"])
 def test_verify_depth_below_one_rejected(capsys, what, depth):
-    # depth 0 would print nothing (em) or a pass after comparing one coefficient (sheffer)
-    code, out, err = run(capsys, "verify", what, f"--depth={depth}")
-    assert code == 2
-    assert out == ""
-    assert "--depth" in err
+    # depth 0 would print nothing (em) or a pass after comparing one coefficient
+    # (sheffer); a negative genfun depth would print a pass after checking nothing
+    seqs = ["bernoulli", "laguerre", "assoc-delta"] if what == "genfun" else ["bernoulli"]
+    for seq in seqs:
+        code, out, err = run(capsys, "verify", what, f"--depth={depth}", "--seq", seq)
+        assert code == 2
+        assert out == ""
+        assert "--depth" in err
 
 
 def test_verify_em_passes(capsys):
@@ -165,6 +175,16 @@ def test_sum_rejects_nonpositive_x(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [["--n", "-1"], ["--n", "-5"], ["--n", "5", "--order", "-1"]])
+@pytest.mark.parametrize("kind", ["harmonic", "stirling"])
+def test_sum_rejects_negative_n_or_order(capsys, kind, args):
+    # --n -1 used to compare 0 with 0 and pass, --n -5 to compare meaningless values
+    code, out, err = run(capsys, "sum", kind, "--x", "10", *args)
+    assert code == 2
+    assert out == ""
+    assert "n >= 0 and order >= 0" in err
+
+
 # -- eval ----------------------------------------------------------------
 
 
@@ -206,3 +226,20 @@ def test_unknown_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# -- byte identity against the recorded benchmark catalogue ---------------
+
+
+def test_cli_catalogue_replays_byte_identical(capsys):
+    # every recorded variant must keep its exit code and its stdout bytes
+    strata = json.loads(CATALOGUE.read_text())["strata"]
+    variants = [v for stratum in strata for v in stratum["variants"]]
+    mismatches = []
+    for v in variants:
+        code = main(list(v["args"]))
+        out = capsys.readouterr().out.encode()
+        if (code, hashlib.sha256(out).hexdigest()) != (v["exit"], v["sha256"]):
+            mismatches.append(v["args"])
+    assert len(variants) == 582
+    assert mismatches == []

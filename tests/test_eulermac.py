@@ -46,7 +46,6 @@ def test_em_report_json():
         "truncation_order": 4,
         "residual_lead": None,
         "symbolic_ok": True,
-        "numeric_abs_err": None,
     }
 
 

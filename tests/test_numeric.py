@@ -64,6 +64,9 @@ def test_eval_series_rejects_mismatched_level():
         eval_series(p, 1, 2.0)
     with pytest.raises(ValueError):
         eval_series(LogSeries(G, -2, {0: F(1)}), 1, 0.0)
+    # level 0 would drop the negative degrees: lam_1 + 5 lam_-1 at 2 read 2
+    with pytest.raises(ValueError):
+        eval_series(LogSeries(G, -1, {1: F(1), -1: F(5)}), 0, 2.0)
 
 
 def test_eval_series_matches_pointwise_sum():

@@ -17,9 +17,11 @@ from logalg.operators import (
 )
 from logalg.series import LogSeries, OrderTag, harmonic
 from oracles import (
+    antiderivative_by_roman,
     apply_by_roman_ratio,
     classical_bernoulli,
     comp_inverse_by_compose,
+    derivative_by_roman,
     pow_by_squaring,
     recip_by_division,
 )
@@ -282,6 +284,54 @@ def test_apply_matches_roman_ratio_sum(lead):
                 assert op.apply(p) == apply_by_roman_ratio(op, p)
 
 
+def test_derivative_and_antiderivative_match_roman_loops():
+    rng = random.Random(300)
+    for order in (G, Z):
+        for _ in range(60):
+            p = random_series(rng, order)
+            if rng.random() < 0.1:
+                p = LogSeries(order, p.floor, {})
+            assert p.derivative() == derivative_by_roman(p)
+            if order is Z:
+                with pytest.raises(ValueError):
+                    p.antiderivative()
+            else:
+                assert p.antiderivative() == antiderivative_by_roman(p)
+
+
+def pair_or_error(op, p):
+    try:
+        return op.pair(p)
+    except ValueError:
+        return ValueError
+
+
+def apply_then_augment(op, p):
+    try:
+        return op.apply(p).eval_functional()
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("lead", range(-2, 3))
+def test_pair_matches_apply_then_augment(lead):
+    # the same value, and an error exactly where apply(p).eval_functional() raises
+    rng = random.Random(400 + lead)
+    ops = [random_laurent_op(rng, lead, w, c0) for w in (0, 2, 6) for c0 in LEADING]
+    ops += [ArtinOp(lead + 2, {}), ArtinOp(max(lead, 0), {})]
+    outcomes = set()
+    for order in (G, Z):
+        for op in ops:
+            for _ in range(6):
+                p = random_series(rng, order)
+                if rng.random() < 0.2:
+                    p = LogSeries(order, p.floor, {})
+                want = apply_then_augment(op, p)
+                assert pair_or_error(op, p) == want
+                outcomes.add(want is ValueError)
+    assert outcomes == {True, False}
+
+
 # -- cap and floor soundness: cap c against cap c + 25 ------------------
 
 
@@ -313,6 +363,74 @@ def sound_pairs(rng, order):
     p = big_p.truncate(f)
     pairs += [(op.apply(p), big.apply(big_p)) for op, big in ops]
     return pairs
+
+
+def deep_series(rng, order, floor, top):
+    """A series known from top down to floor - 25, and its truncation at floor."""
+    deep_floor = floor - 25 if order is G else max(floor - 25, 0)
+    coeffs = {d: F(rng.randint(1, 5) * rng.choice([-1, 1]), rng.randint(1, 4)) for d in range(deep_floor, top + 1)}
+    big = LogSeries(order, deep_floor, coeffs)
+    return big.truncate(floor), big
+
+
+def assert_series_sound(small, big):
+    assert small.floor >= big.floor
+    assert small == big.truncate(small.floor)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cap_soundness_of_add(seed):
+    # sums of operators and of series known 25 further must agree
+    # wherever the shallower sum claims to be exact
+    rng = random.Random(500 + seed)
+    for _ in range(10):
+        a, b = (random_laurent_op(rng, rng.randint(-2, 2), 25 + rng.randint(0, 6), 1) for _ in range(2))
+        ca, cb = rng.randint(a.lead, a.lead + 6), rng.randint(b.lead, b.lead + 6)
+        small, big = a.truncate(ca) + b.truncate(cb), a + b
+        assert small.cap <= big.cap
+        assert op_agrees(small, big)
+        for order in (G, Z):
+            top = rng.randint(0, 6)
+            p, big_p = deep_series(rng, order, top - rng.randint(0, 6), top)
+            q, big_q = deep_series(rng, order, top - rng.randint(0, 6), top + rng.randint(-2, 2))
+            assert_series_sound(p + q, big_p + big_q)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_floor_soundness_of_derivative_and_antiderivative(seed):
+    rng = random.Random(600 + seed)
+    for _ in range(10):
+        for order in (G, Z):
+            top = rng.randint(-4, 6)
+            p, big = deep_series(rng, order, top - rng.randint(0, 6), top)
+            assert_series_sound(p.derivative(), big.derivative())
+            if order is G:
+                assert_series_sound(p.antiderivative(), big.antiderivative())
+        # a series whose truncation is zero
+        p, big = deep_series(rng, G, 3, rng.randint(-2, 2))
+        assert p.is_zero()
+        assert_series_sound(p.derivative(), big.derivative())
+        assert_series_sound(p.antiderivative(), big.antiderivative())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cap_soundness_of_pair(seed):
+    # a pairing at cap c must equal the one at c + 25 whenever it does not
+    # raise; the operator and series sizes straddle the edge where it starts to
+    rng = random.Random(700 + seed)
+    answered = 0
+    for _ in range(40):
+        order = rng.choice([G, Z])
+        lead = rng.randint(0 if order is Z else -2, 2)
+        big_op = random_laurent_op(rng, lead, 30, rng.choice(LEADING))
+        top = rng.randint(0, 6)
+        p, big_p = deep_series(rng, order, top - rng.randint(0, 6), top)
+        op = big_op.truncate(top + rng.randint(-2, 1))
+        value = pair_or_error(op, p)
+        if value is not ValueError:
+            answered += 1
+            assert value == big_op.pair(big_p)
+    assert answered
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -387,6 +505,12 @@ def test_json_roundtrip():
         {"cap": 3, "coeffs": [[1.5, "1"]]},
         {"cap": 3},
         [3, []],
+        {"cap": 2, "coeffs": [[1, 0.1]]},
+        {"cap": True, "coeffs": [[1, "1"]]},
+        {"cap": 2, "coeffs": [[True, "1"]]},
+        {"cap": 2, "coeffs": [["1", "1"]]},
+        {"cap": 2, "coeffs": [[1, True]]},
+        {"cap": 2, "coeffs": [[1, None]]},
     ],
 )
 def test_from_obj_rejects_malformed(obj):
