@@ -18,7 +18,6 @@ from .sheffer import (
     GradedSeq,
     HarmonicRule,
     ShefferRule,
-    appell_from_constants,
 )
 from .classics import (
     SeqTable,

@@ -194,9 +194,16 @@ def exact_int(value) -> int:
 
 def exact_rational(value) -> Fraction:
     """A coefficient read from a JSON field: an integer or a rational or
-    decimal string.  Floats are rejected: their binary value is inexact."""
+    decimal string.  Floats are rejected: their binary value is inexact.
+    A decimal exponent beyond +-4300 (Python's digit limit for int/str
+    conversion) is rejected before 10**e is built, so input size bounds
+    the work."""
     if type(value) not in (int, str):
         raise ValueError(f"expected an integer or a rational string, got {value!r}")
+    if type(value) is str:
+        _, e, exponent = value.lower().partition("e")
+        if e and abs(int(exponent)) > 4300:
+            raise ValueError(f"decimal exponent {exponent} exceeds 4300 in magnitude")
     return Fraction(value)
 
 

@@ -1,22 +1,20 @@
 """Graded sequences: harmonic, Appell, associated, and Sheffer.
 
 A graded sequence assigns to each integer a a logarithmic series with
-top degree a and unit top coefficient.  The four generator rules:
+top degree a and unit top coefficient.  Each is the Sheffer sequence of
+an invertible h and a delta operator f, s_a = h(D)**-1 f'(D)
+(f(D)/D)**-(a+1) lam_a (Roman & Rota, Adv. Math. 27, 1978).  A rule
+class holds None for an absent h or f, whose factor is then left out:
+``HarmonicRule`` (neither), ``AppellRule(h)``, ``AssociatedRule(f)``
+(the transfer formula) and ``ShefferRule(h, f)``.
 
-* ``HarmonicRule``           -- the basis itself, a |-> lam_a.
-* ``AppellRule(h)``          -- a |-> h(D)**-1 lam_a, h of degree 0.
-* ``AssociatedRule(f)``      -- the associated sequence of a delta
-  operator f, built through the transfer formula
-  p_a = f'(D) (f(D)/D)**-(a+1) lam_a.
-* ``ShefferRule(h, f)``      -- h(D)**-1 applied to the associated
-  sequence of f.
-
-Operator parameters are supplied as factories cap -> ArtinOp so members
-can be expanded to any requested exactness floor.  Note the convention:
-members are produced by h(D)**-1, which is what makes biorthogonality
-read <alpha| h(D) f(D)^b s_a > = rf(a) delta_ab with h itself on the
-left.  Expansion coefficients (Taylor / operator expansion) therefore
-pair with h, not h**-1.
+Operator parameters are supplied as factories cap -> ArtinOp; every cap
+is derived from the floor it must reach, the product-cap rule of
+``operators`` read backwards, and a member that misses its floor raises.
+Note the convention: members are produced by h(D)**-1, which is what
+makes biorthogonality read <alpha| h(D) f(D)^b s_a > = rf(a) delta_ab
+with h itself on the left.  Expansion coefficients (Taylor / operator
+expansion) therefore pair with h, not h**-1.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Callable, Mapping, Union
 
 from .operators import ArtinOp, convolve, identity_op, monomial_op
 from .roman import roman, roman_coeff, roman_factorial
-from .series import LogSeries, OrderTag, agrees, harmonic, zero_series
+from .series import LogSeries, OrderTag, harmonic, zero_series
 
 __all__ = [
     "HarmonicRule",
@@ -36,30 +34,28 @@ __all__ = [
     "AssociatedRule",
     "ShefferRule",
     "GradedSeq",
-    "appell_from_constants",
     "exp_genfun_coefficients",
 ]
 
 OpFactory = Callable[[int], ArtinOp]
 RatLike = Union[Fraction, int]
 
-# Extra cap slack so intermediate products never clip a needed exponent.
-_MARGIN = 2
-
 
 @dataclass(frozen=True)
 class HarmonicRule:
-    pass
+    h = f = None
 
 
 @dataclass(frozen=True)
 class AppellRule:
     h: OpFactory
+    f = None
 
 
 @dataclass(frozen=True)
 class AssociatedRule:
     f: OpFactory
+    h = None
 
 
 @dataclass(frozen=True)
@@ -72,14 +68,14 @@ Rule = Union[HarmonicRule, AppellRule, AssociatedRule, ShefferRule]
 
 
 def _checked_h(factory: OpFactory, cap: int) -> ArtinOp:
-    h = factory(max(cap, 0))
+    h = factory(cap)
     if h.is_zero() or h.lead != 0 or h.coeffs[0] != 1:
         raise ValueError("invertible operator must have lead 0 and unit constant term")
     return h
 
 
 def _checked_f(factory: OpFactory, cap: int) -> ArtinOp:
-    f = factory(max(cap, 1))
+    f = factory(cap)
     if f.is_zero() or f.lead != 1 or f.coeffs[1] != 1:
         raise ValueError("delta operator must have lead 1 and unit linear coefficient")
     return f
@@ -115,33 +111,23 @@ class GradedSeq:
         return cached.truncate(floor)
 
     def _build(self, order: OrderTag, a: int, floor: int) -> LogSeries:
-        rule = self.rule
-        if isinstance(rule, HarmonicRule):
-            return harmonic(order, a, floor)
-        if isinstance(rule, AppellRule):
-            lam = harmonic(order, a, floor)
-            if lam.is_zero():
-                return lam
-            return self._h_inverse(a - floor).apply(lam)
-        if isinstance(rule, AssociatedRule):
-            return self._associated(order, a, floor)
-        if isinstance(rule, ShefferRule):
-            assoc = self._associated(order, a, floor)
-            if assoc.is_zero():
-                return assoc
-            return self._h_inverse(a - floor).apply(assoc).truncate(floor)
-        raise TypeError(f"unknown rule {rule!r}")
-
-    def _associated(self, order: OrderTag, a: int, floor: int) -> LogSeries:
-        """The transfer formula p_a = f'(D) (f(D)/D)**-(a+1) lam_a; the
-        power is one pass of ArtinOp.__pow__, no reciprocal."""
-        lam = harmonic(order, a, floor)
+        """s_a = h(D)**-1 f'(D) (f(D)/D)**-(a+1) lam_a, without the factors
+        the rule lacks.  Both operators have lead 0, so through D^(a-floor)
+        they keep lam_a's floor; f is built one degree deeper, as f/D and
+        f' each lose one.  A member short of that floor raises ValueError."""
+        out = lam = harmonic(order, a, floor)
         if lam.is_zero():
             return lam
-        f = self.delta_op(a - floor + _MARGIN)
-        f_over_d = ArtinOp(f.cap - 1, {e - 1: c for e, c in f.coeffs.items()})
-        transfer = f.deriv_wrt_d() * f_over_d ** (-(a + 1))
-        return transfer.apply(lam).truncate(floor)
+        cap = a - floor
+        if self.rule.f is not None:
+            f = self.delta_op(cap + 1)
+            f_over_d = ArtinOp(f.cap - 1, {e - 1: c for e, c in f.coeffs.items()})
+            out = (f.deriv_wrt_d() * f_over_d ** (-(a + 1))).apply(out)
+        if self.rule.h is not None:
+            out = self._h_inverse(cap).apply(out)
+        if out.floor > lam.floor:
+            raise ValueError(f"member {a} reached floor {out.floor}, not {lam.floor}")
+        return out
 
     def _deepest(self, name: str, cap: int, build: OpFactory) -> ArtinOp:
         """The operator ``name`` through D^cap, truncated from the deepest
@@ -160,43 +146,43 @@ class GradedSeq:
         """The lowering (delta) operator of the sequence: f, or D for
         Appell and harmonic rules."""
         cap = max(cap, 1)
-        if isinstance(self.rule, (AssociatedRule, ShefferRule)):
-            return self._deepest("f", cap, lambda c: _checked_f(self.rule.f, c))
-        return monomial_op(1, cap)
+        if self.rule.f is None:
+            return monomial_op(1, cap)
+        return self._deepest("f", cap, lambda c: _checked_f(self.rule.f, c))
 
     def invertible_op(self, cap: int) -> ArtinOp:
         """The degree-0 operator of the sequence: h, or the identity."""
         cap = max(cap, 0)
-        if isinstance(self.rule, (AppellRule, ShefferRule)):
-            return self._deepest("h", cap, lambda c: _checked_h(self.rule.h, c))
-        return identity_op(cap)
+        if self.rule.h is None:
+            return identity_op(cap)
+        return self._deepest("h", cap, lambda c: _checked_h(self.rule.h, c))
 
     def associated_part(self) -> "GradedSeq":
         """The underlying associated sequence (the harmonic sequence for
         Appell rules).  Built once per instance, so its member cache
         lasts as long as this sequence; an associated or harmonic
         sequence is its own associated part."""
-        if isinstance(self.rule, (AssociatedRule, HarmonicRule)):
+        if self.rule.h is None:
             return self
         if self._assoc is None:
-            if isinstance(self.rule, ShefferRule):
-                self._assoc = GradedSeq(AssociatedRule(self.rule.f))
-            else:
-                self._assoc = GradedSeq(HarmonicRule())
+            f = self.rule.f
+            self._assoc = GradedSeq(HarmonicRule() if f is None else AssociatedRule(f))
         return self._assoc
 
     # -- characterization checks --------------------------------------
 
     def check_lowering(self, order: OrderTag, a: int, floor: int) -> bool:
-        """f(D) s_a = roman(a) s_{a-1}, exactly above the common floor."""
-        f = self.delta_op(a - floor + _MARGIN)
+        """f(D) s_a = roman(a) s_{a-1}, both sides exact down to floor - 1:
+        f has lead 1, so it reaches that floor through D^(a - floor + 1)."""
+        f = self.delta_op(a - floor + 1)
         lhs = f.apply(self.member(order, a, floor))
         rhs = self.member(order, a - 1, floor - 1).scale(roman(a))
-        return agrees(lhs, rhs)
+        return lhs == rhs
 
     def check_binomial_shift(self, order: OrderTag, a: int, z: RatLike, floor: int) -> bool:
         """E^z s_a = sum_{b>=0} rc(a,b) <(0)| E^z p_b^{(0)} > s_{a-b},
-        with p the underlying associated sequence."""
+        with p the underlying associated sequence; both sides are exact
+        down to floor."""
         z = Fraction(z)
         lhs = self.member(order, a, floor).shift(z)
         assoc = self.associated_part()
@@ -208,15 +194,19 @@ class GradedSeq:
             if cb != 0:
                 for d, c in self.member(order, a - b, floor).coeffs.items():
                     rhs[d] = rhs.get(d, 0) + cb * c
-        return agrees(lhs, LogSeries(order, floor, rhs))
+        return lhs == LogSeries(order, floor, rhs)
 
     def check_biorthogonality(self, a: int, b: int) -> bool:
-        """<alpha| h(D) f(D)^b s_a > = rf(a) delta_ab, at generic order."""
+        """<alpha| h(D) f(D)^b s_a > = rf(a) delta_ab, at generic order.
+
+        h f^b built from cap a - b + 1 reaches D^a (the b-th power adds
+        b - 1), and its lead is b, so the pairing reads s_a down to
+        min(a, b)."""
         if b < 0:
             raise ValueError("biorthogonality index b must be nonnegative")
-        cap = max(a, b, 0) + _MARGIN
+        cap = a - b + 1
         op = self.invertible_op(cap) * self.delta_op(cap) ** b
-        value = op.pair(self.member(OrderTag.GENERIC, a, min(a, b, 0)))
+        value = op.pair(self.member(OrderTag.GENERIC, a, min(a, b)))
         return value == (roman_factorial(a) if a == b else 0)
 
     # -- expansions ----------------------------------------------------
@@ -233,7 +223,9 @@ class GradedSeq:
             raise ValueError("a_min below the exactness floor: coefficients not determined")
         if p.order is OrderTag.ZERO and a_min < 0:
             raise ValueError("negative basis indices require generic order")
-        cap = top - min(a_min, p.floor, 0) + 2 * _MARGIN
+        # deeper than the exact top - a_min + 1; kept until the session
+        # benchmark reads peak RSS at a fixed request count (see ROADMAP)
+        cap = top - min(a_min, p.floor, 0) + 4
         out: dict[int, Fraction] = {}
         for a in range(a_min, top + 1):
             c = self.expansion_basis_op(a, cap).pair(p) / roman_factorial(a)
@@ -275,36 +267,35 @@ class GradedSeq:
 
     # -- generating function (polynomial order only) -------------------
 
-    def genfun_coefficient(self, k: int, cap: int | None = None) -> LogSeries:
+    def genfun_coefficient(self, k: int) -> LogSeries:
         """The x-polynomial coefficient of y^k in the order-(0) generating
         function G(y) [exp](x f_inv(y)), with G = 1/h(f_inv(y)).
 
         f_inv is the compositional inverse of the delta operator; the
         Roman exponential at order (0) is the ordinary sum_n x^n y^n/n!.
+        Every operator is built through y^k, the deepest power read.
         Costs one Lagrange inversion, one composition and O(k^3) for the
         powers of f_inv; genfun_check_order_zero shares that work over
         every k up to its K.
         """
-        if cap is None:
-            cap = k + 1
-        return self._genfun_coefficients(k, cap)[k]
+        return self._genfun_coefficients(k)[k]
 
-    def _genfun_coefficients(self, K: int, cap: int) -> list[LogSeries]:
+    def _genfun_coefficients(self, K: int) -> list[LogSeries]:
         """The y^k coefficients of the generating function for every
-        0 <= k <= K, from one f_inv and one G."""
-        f_inv = self.delta_op(cap).comp_inverse()
-        g = self.invertible_op(cap).compose(f_inv).recip()
+        0 <= k <= K, from one f_inv and one G, both through y^K."""
+        f_inv = self.delta_op(K).comp_inverse()
+        g = self.invertible_op(K).compose(f_inv).recip()
         return exp_genfun_coefficients(g.coeffs, f_inv.coeffs, K)
 
     def genfun_check_order_zero(self, K: int) -> bool:
         """Check member(k)/k! against the y^k generating-function
         coefficient for all 0 <= k <= K.
 
-        f_inv, G and the powers of f_inv are built once at cap K+1 and
+        f_inv, G and the powers of f_inv are built once at cap K and
         every coefficient is read from them: one Lagrange inversion, one
         composition and O(K^3) for the products.
         """
-        coeffs = self._genfun_coefficients(K, K + 1)
+        coeffs = self._genfun_coefficients(K)
         # deepest member first, so one h**-1 serves every degree
         for k in range(K, -1, -1):
             member = self.member(OrderTag.ZERO, k, 0).scale(1 / roman_factorial(k))
@@ -337,17 +328,3 @@ def exp_genfun_coefficients(
         for k in range(K + 1)
     ]
 
-
-def appell_from_constants(
-    constants: Mapping[int, RatLike], order: OrderTag, a: int, floor: int
-) -> LogSeries:
-    """Build an Appell member from its sequence of numbers
-    c_b = <(0)| p_b^{(0)} >:  p_a = sum_b rc(a,b) c_b lam_{a-b}."""
-    out = zero_series(order, floor)
-    for b, cb in constants.items():
-        if b < 0:
-            raise ValueError("constants are indexed by b >= 0")
-        if a - b >= floor:
-            term = harmonic(order, a - b, floor)
-            out = out + term.scale(roman_coeff(a, b) * Fraction(cb))
-    return out

@@ -124,3 +124,16 @@ def laguerre_by_terms(order, a, b, floor):
         if c != 0:
             out = out + harmonic(order, a - k, floor).scale(c)
     return out
+
+
+def appell_from_constants(constants, order, a, floor):
+    """Build an Appell member from its sequence of numbers
+    c_b = <(0)| p_b^{(0)} >:  p_a = sum_b rc(a,b) c_b lam_{a-b}."""
+    out = zero_series(order, floor)
+    for b, cb in constants.items():
+        if b < 0:
+            raise ValueError("constants are indexed by b >= 0")
+        if a - b >= floor:
+            term = harmonic(order, a - b, floor)
+            out = out + term.scale(roman_coeff(a, b) * Fraction(cb))
+    return out

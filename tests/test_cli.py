@@ -82,6 +82,7 @@ def test_expand_bad_json_exit_2(capsys):
         '{"order": "generic", "floor": true, "coeffs": [[1, "1"]]}',
         '{"order": "generic", "floor": -2, "coeffs": [[true, "1"]]}',
         '{"order": "generic", "floor": -2, "coeffs": [[1, true]]}',
+        '{"order": "generic", "floor": -6, "coeffs": [[2, "1e10000"], [1, "1/3"]]}',
     ],
 )
 @pytest.mark.parametrize("command", ["expand", "eval"])

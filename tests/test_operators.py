@@ -511,6 +511,8 @@ def test_json_roundtrip():
         {"cap": 2, "coeffs": [["1", "1"]]},
         {"cap": 2, "coeffs": [[1, True]]},
         {"cap": 2, "coeffs": [[1, None]]},
+        {"cap": 2, "coeffs": [[1, "1e10000"]]},
+        {"cap": 2, "coeffs": [[1, "2.5E-4301"]]},
     ],
 )
 def test_from_obj_rejects_malformed(obj):

@@ -19,9 +19,8 @@ from logalg.sheffer import (
     GradedSeq,
     HarmonicRule,
     ShefferRule,
-    appell_from_constants,
 )
-from oracles import classical_bernoulli
+from oracles import appell_from_constants, classical_bernoulli
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -301,13 +300,13 @@ def count_calls(monkeypatch, cls, name):
 def test_genfun_check_inverts_once(monkeypatch):
     calls = count_calls(monkeypatch, ArtinOp, "comp_inverse")
     assert laguerre_sheffer_seq(1).genfun_check_order_zero(10)
-    assert [f.cap for f in calls] == [11]
+    assert [f.cap for f in calls] == [10]
 
 
 @pytest.mark.parametrize("seq", named_sequences())
 def test_batched_genfun_coefficients_match_single(seq):
     K = 9
-    batched = seq._genfun_coefficients(K, K + 1)
+    batched = seq._genfun_coefficients(K)
     assert batched == [seq.genfun_coefficient(k) for k in range(K + 1)]
 
 
@@ -376,7 +375,7 @@ def has_h(seq):
 def test_genfun_check_members_share_one_reciprocal(monkeypatch, make):
     K = 10
     recips = count_calls(monkeypatch, ArtinOp, "recip")
-    make()._genfun_coefficients(K, K + 1)
+    make()._genfun_coefficients(K)
     shared = len(recips)  # inside f_inv and G, not the members
     recips.clear()
     seq = make()
@@ -418,3 +417,62 @@ def test_members_from_truncated_reciprocal_match_fresh_ones():
         for order in (G, Z):
             for a in (-3, 0, 2, 5):
                 assert warm.member(order, a, a - 5) == make().member(order, a, a - 5)
+
+
+# -- derived caps: no slack ----------------------------------------------
+
+
+def build_one_degree_shallower(monkeypatch):
+    """Hand out every h and f one degree below the cap asked for."""
+    for name in ("delta_op", "invertible_op"):
+        original = getattr(GradedSeq, name)
+        monkeypatch.setattr(GradedSeq, name, lambda self, cap, op=original: op(self, cap - 1))
+
+
+def raises_or_false(check, *args):
+    try:
+        return not check(*args)
+    except ValueError:
+        return True
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS[:4])
+def test_caps_one_degree_short_fail_loudly(monkeypatch, make):
+    build_one_degree_shallower(monkeypatch)
+    with pytest.raises(ValueError):
+        make().member(G, 2, -4)
+    assert raises_or_false(make().check_lowering, G, 2, -4)
+    with pytest.raises(ValueError):
+        make().check_biorthogonality(3, 1)
+    assert raises_or_false(make().genfun_check_order_zero, 8)
+
+
+def test_harmonic_caps_one_degree_short_fail_loudly(monkeypatch):
+    build_one_degree_shallower(monkeypatch)
+    seq = GradedSeq(HarmonicRule())
+    assert not seq.check_lowering(G, 2, -4)
+    with pytest.raises(ValueError):
+        seq.check_biorthogonality(3, 1)
+
+
+class ShallowSeq(GradedSeq):
+    """A sequence whose generic-order member of one degree stops one
+    degree above the floor asked for."""
+
+    def __init__(self, rule, bad):
+        super().__init__(rule)
+        self.bad = bad
+
+    def member(self, order, a, floor):
+        out = super().member(order, a, floor)
+        return out.truncate(floor + 1) if order is G and a == self.bad else out
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_checks_reject_a_shallow_member(make):
+    rule, a, floor = make().rule, 2, -4
+    assert ShallowSeq(rule, 99).check_lowering(G, a, floor)
+    assert not ShallowSeq(rule, a).check_lowering(G, a, floor)
+    assert not ShallowSeq(rule, a - 1).check_lowering(G, a, floor)
+    assert ShallowSeq(rule, 99).check_binomial_shift(G, a, F(3, 2), floor)
+    assert not ShallowSeq(rule, a).check_binomial_shift(G, a, F(3, 2), floor)
