@@ -1,11 +1,14 @@
 """Logarithmic Euler-MacLaurin machinery.
 
 The identity I = B_0 J + B_1 Delta + sum_{k>=2} (B_k/k!) Delta D^{k-1}
-is exact in the operator ring (not merely asymptotic): the sum equals
-J**-1 * Delta D**-1 = J**-1 J.  This module checks it symbolically at
-any truncation order, evaluates the telescoping lambda-sum closed form,
-and runs the two classical numeric instances (harmonic numbers and
-Stirling's formula) against exact summation oracles.
+is exact in the operator ring (not merely asymptotic): it is I = Delta W
+for the weight operator W = sum_{k>=0} (B_k/k!) D^{k-1} = D**-1 J**-1,
+so sum_{j<=n} E^j = (E^{n+1} - I) W (Loeb & Rota, Adv. Math. 75, 1989).
+This module builds W from the Bernoulli numbers, checks the identity at
+any truncation order with one operator product or one action on a
+series, evaluates the telescoping lambda-sum closed form, and runs the
+two classical numeric instances (harmonic numbers and Stirling's
+formula) against exact summation oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 from typing import Union
 
 from .classics import bernoulli_member, bernoulli_number
-from .operators import bernoulli_j, forward_difference, identity_op, monomial_op
+from .operators import ArtinOp, forward_difference, identity_op
 from .roman import roman
 from .series import LogSeries, OrderTag, harmonic, zero_series
 
@@ -52,22 +55,15 @@ class EMReport:
 
 
 def em_operator_residual(K: int, *, omit_linear_term: bool = False) -> EMReport:
-    """Residual of I - [B_0 J + sum_{k=1..K} (B_k/k!) Delta D^{k-1}] at cap K.
+    """Residual of I - Delta W_K at cap K, one product: Delta W_K is
+    B_0 J + sum_{k=1..K} (B_k/k!) Delta D^{k-1}, as Delta D**-1 = J.
 
-    ``omit_linear_term`` drops the B_1 Delta term; a deliberate negative
-    control that leaves a residual at D^1.
+    ``omit_linear_term`` drops W's D^0 term, the B_1 Delta term; a
+    deliberate negative control that leaves a residual at D^1.
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    delta = forward_difference(K + 1)
-    rhs = bernoulli_j(K)  # B_0 = 1
-    for k in range(1, K + 1):
-        if k == 1 and omit_linear_term:
-            continue
-        w = bernoulli_number(k) / math.factorial(k)
-        if w != 0:
-            rhs = rhs + (delta * monomial_op(k - 1, K + 1)).scale(w)
-    residual = identity_op(K) - rhs
+    residual = identity_op(K) - forward_difference(K + 1) * _weight_op(K, omit_linear_term)
     lead = None if residual.is_zero() else residual.lead
     ok = residual.is_zero() or residual.lead > K
     return EMReport(K, lead, ok)
@@ -86,10 +82,7 @@ def lambda_sum_closed_form(
     """
     if k < 0:
         raise ValueError("summand count k must be nonnegative")
-    lam = harmonic(order, a, floor)
-    direct = zero_series(order, floor)
-    for j in range(k + 1):
-        direct = direct + lam.shift(j)
+    direct = _shift_sum(harmonic(order, a, floor), k)
     bern = bernoulli_member(order, a + 1, min(floor, a + 1))
     closed = (bern.shift(k + 1) - bern).scale(1 / roman(a + 1)).truncate(floor)
     return direct.truncate(closed.floor), closed
@@ -104,6 +97,18 @@ def _sum_args(x: RatLike, n: int, order_cutoff: int) -> Fraction:
 
 def _bernoulli_weights(cutoff: int) -> list[Fraction]:
     return [bernoulli_number(j) / math.factorial(j) for j in range(cutoff + 1)]
+
+
+def _weight_op(K: int, omit_linear_term: bool = False) -> ArtinOp:
+    """W_K = sum_{k=0..K} (B_k/k!) D^{k-1}, known through D^(K-1); the
+    B_1 term, D^0, is left out on request."""
+    weights = enumerate(_bernoulli_weights(K))
+    return ArtinOp(K - 1, {k - 1: w for k, w in weights if k != 1 or not omit_linear_term})
+
+
+def _shift_sum(p: LogSeries, n: int) -> LogSeries:
+    """The direct sum p + E p + ... + E^n p."""
+    return sum((p.shift(j) for j in range(n + 1)), zero_series(p.order, p.floor))
 
 
 def harmonic_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[Fraction, float, float]:
@@ -165,26 +170,11 @@ def first_omitted_term_bound(x: float, n: int, order_cutoff: int, *, log_case: b
 def em_apply(p: LogSeries, n: int, K: int) -> LogSeries:
     """Difference between sum_{j=0..n} E^j p and its Euler-MacLaurin form
 
-        B_0 (E^{n+1}-I) D^{-1} p + sum_{k=1..K} (B_k/k!) (E^{n+1}-I) D^{k-1} p.
+        (E^{n+1} - I) W_K p,  W_K = sum_{k=0..K} (B_k/k!) D^{k-1}.
 
-    The difference vanishes identically above the returned floor once
+    W_K is known through D^(K-1), so the difference is exact down to
+    max(floor + 1, top(p) - K + 1); it vanishes identically once
     K >= top(p) - floor; terms beyond K only reach degrees <= top(p) - K.
     """
-    if p.order is OrderTag.ZERO:
-        raise ValueError("the integral term needs D**-1: generic order required")
-    lhs = zero_series(p.order, p.floor)
-    for j in range(n + 1):
-        lhs = lhs + p.shift(j)
-    anti = p.antiderivative()
-    rhs = anti.shift(n + 1) - anti
-    q = p
-    for k in range(1, K + 1):
-        w = bernoulli_number(k) / math.factorial(k)
-        if w != 0:
-            rhs = rhs + (q.shift(n + 1) - q).scale(w)
-        q = q.derivative()
-    diff = lhs - rhs
-    top = p.top_degree()
-    if top is not None:
-        diff = diff.truncate(max(diff.floor, top - K + 1))
-    return diff
+    wp = _weight_op(K).apply(p)  # W's D**-1 raises ValueError at polynomial order
+    return _shift_sum(p, n) - (wp.shift(n + 1) - wp)

@@ -182,11 +182,12 @@ class ArtinOp:
         if inner.is_zero() or inner.lead < 1:
             raise ValueError("substitution requires a delta-like inner series (lead >= 1)")
         # First unknown outer term contributes at >= (cap+1)*inner.lead;
-        # the inner truncation limits exactness to inner.cap.
+        # the inner truncation limits exactness to inner.cap.  Outer terms
+        # above the top one are exact zeros, so no power past it is built.
         cap = min((self.cap + 1) * inner.lead - 1, inner.cap)
         out: dict[int, Fraction] = {0: self.coeffs.get(0, Fraction(0))}
         power = {0: Fraction(1)}
-        for k in range(1, self.cap + 1):
+        for k in range(1, max(self.coeffs) + 1):
             power = convolve(power, inner.coeffs, cap)
             ck = self.coeffs.get(k)
             if ck is not None:

@@ -26,6 +26,7 @@ from typing import Iterator, Mapping, Union
 __all__ = ["OrderTag", "LogSeries", "harmonic", "zero_series", "agrees"]
 
 RatLike = Union[Fraction, int]
+_TOO_MANY_DIGITS = 10**4300  # the least integer with 4301 digits
 
 
 class OrderTag(Enum):
@@ -195,16 +196,19 @@ def exact_int(value) -> int:
 def exact_rational(value) -> Fraction:
     """A coefficient read from a JSON field: an integer or a rational or
     decimal string.  Floats are rejected: their binary value is inexact.
-    A decimal exponent beyond +-4300 (Python's digit limit for int/str
-    conversion) is rejected before 10**e is built, so input size bounds
-    the work."""
+    Python's int/str conversion stops at 4300 digits, so an exponent
+    beyond +-4300 is rejected before 10**e is built, and so is a
+    numerator or denominator of more than 4300 digits, as in "1e4300"."""
     if type(value) not in (int, str):
         raise ValueError(f"expected an integer or a rational string, got {value!r}")
     if type(value) is str:
         _, e, exponent = value.lower().partition("e")
         if e and abs(int(exponent)) > 4300:
             raise ValueError(f"decimal exponent {exponent} exceeds 4300 in magnitude")
-    return Fraction(value)
+    out = Fraction(value)
+    if abs(out.numerator) >= _TOO_MANY_DIGITS or out.denominator >= _TOO_MANY_DIGITS:
+        raise ValueError("a coefficient's numerator or denominator exceeds 4300 digits")
+    return out
 
 
 def zero_series(order: OrderTag, floor: int) -> LogSeries:

@@ -105,7 +105,8 @@ class GradedSeq:
             raise ValueError(f"floor {floor} lies above the member degree {a}")
         key = (order, a)
         cached = self._cache.get(key)
-        if cached is None or cached.floor > floor:
+        # at order (0) a floor below 0 reads as 0, the floor the cache holds
+        if cached is None or cached.floor > zero_series(order, floor).floor:
             cached = self._build(order, a, floor)
             self._cache[key] = cached
         return cached.truncate(floor)
@@ -204,8 +205,7 @@ class GradedSeq:
         min(a, b)."""
         if b < 0:
             raise ValueError("biorthogonality index b must be nonnegative")
-        cap = a - b + 1
-        op = self.invertible_op(cap) * self.delta_op(cap) ** b
+        op = self.expansion_basis_op(b, a - b + 1)
         value = op.pair(self.member(OrderTag.GENERIC, a, min(a, b)))
         return value == (roman_factorial(a) if a == b else 0)
 

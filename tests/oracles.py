@@ -58,6 +58,29 @@ def antiderivative_by_roman(p):
     return LogSeries(p.order, p.floor + 1, {d + 1: c / roman(d + 1) for d, c in p.coeffs.items()})
 
 
+def em_apply_by_terms(p, n, weights):
+    """sum_{j=0..n} E^j p minus [w_0 (E^{n+1}-I) D**-1 p + sum_{k=1..K}
+    w_k (E^{n+1}-I) D^{k-1} p], with w_k = weights[k] (B_k/k! unless a
+    test perturbs them) and K = len(weights) - 1: one derivative and one
+    shift pair per k, the term-by-term sum the weight operator replaced.
+    Kept down to top(p) - K + 1, where the terms beyond K start; as E and
+    D read only degrees at or above the one they write, D**-1 p and each
+    D^{k-1} p are cut there before they are shifted."""
+    top = p.top_degree()
+    cut = p.floor if top is None else top - len(weights) + 2
+    lhs = zero_series(p.order, p.floor)
+    for j in range(n + 1):
+        lhs = lhs + shift_by_roman_coeff(p, j)
+    anti = antiderivative_by_roman(p).scale(weights[0]).truncate(cut)
+    rhs = shift_by_roman_coeff(anti, n + 1) - anti
+    q = p
+    for w in weights[1:]:
+        q = q.truncate(cut)
+        rhs = rhs + (shift_by_roman_coeff(q, n + 1) - q).scale(w)
+        q = derivative_by_roman(q)
+    return (lhs - rhs).truncate(cut)
+
+
 def recip_by_division(op):
     """Multiplicative inverse by recursive division of truncated series:
     b_0 = 1, b_m = -sum_{i=1..m} a_i b_{m-i} on the normalised series."""

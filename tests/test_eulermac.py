@@ -1,8 +1,11 @@
 import json
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from logalg import eulermac
 from logalg.eulermac import (
     EMReport,
     em_apply,
@@ -13,9 +16,24 @@ from logalg.eulermac import (
     stirling_identity,
 )
 from logalg.series import LogSeries, OrderTag, agrees, harmonic
+from oracles import classical_bernoulli, em_apply_by_terms
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
+B2_ERROR = F(1, 7)
+
+
+def perturb_b2(monkeypatch):
+    """B_2 off by B2_ERROR wherever eulermac reads a Bernoulli number."""
+    true_number = eulermac.bernoulli_number
+    monkeypatch.setattr(
+        eulermac, "bernoulli_number", lambda k: true_number(k) + (B2_ERROR if k == 2 else 0)
+    )
+
+
+@pytest.fixture
+def wrong_b2(monkeypatch):
+    perturb_b2(monkeypatch)
 
 
 # -- operator identity --------------------------------------------------
@@ -33,6 +51,19 @@ def test_em_residual_negative_control():
     report = em_operator_residual(6, omit_linear_term=True)
     assert not report.symbolic_ok
     assert report.residual_lead == 1
+
+
+def test_em_residual_omitting_the_linear_term_at_order_zero():
+    # W_0 = D**-1 has no D^0 term to drop, so the residual still vanishes at cap 0
+    assert em_operator_residual(0, omit_linear_term=True) == EMReport(0, None, True)
+
+
+@pytest.mark.parametrize("K", range(2, 13))
+def test_em_residual_detects_wrong_b2(wrong_b2, K):
+    # the residual is -(B2_ERROR / 2) Delta D, which starts at D^2
+    report = em_operator_residual(K)
+    assert not report.symbolic_ok
+    assert report.residual_lead == 2
 
 
 def test_em_residual_rejects_negative_order():
@@ -87,6 +118,36 @@ def test_em_apply_truncation_shrinks_with_order():
         diff = em_apply(lam, 3, K)
         assert diff.is_zero()
         assert diff.floor >= -2 - K + 1
+
+
+@pytest.mark.parametrize("K", range(3, 11))
+def test_em_apply_detects_wrong_b2(wrong_b2, K):
+    # the error (B2_ERROR/2)(E^4 - I) D lam_2 reaches degree 0, which the
+    # difference keeps once its floor 3 - K is at most 0
+    assert not em_apply(harmonic(G, 2, -4), 3, K).is_zero()
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_em_apply_matches_term_by_term_oracle(monkeypatch, perturbed):
+    bernoulli = classical_bernoulli(14)
+    if perturbed:
+        perturb_b2(monkeypatch)
+        bernoulli[2] += B2_ERROR
+    rng = random.Random(1989)
+    shallow = nonzero = 0
+    for _ in range(200):
+        top = rng.randint(-6, 6)
+        floor = top - rng.randint(0, 9)
+        coeffs = {d: F(rng.randint(-6, 6), rng.randint(1, 6)) for d in range(floor, top)}
+        p = LogSeries(G, floor, {**coeffs, top: F(rng.randint(1, 6))})
+        n, K = rng.randint(0, 8), rng.randint(0, 14)
+        got = em_apply(p, n, K)
+        want = em_apply_by_terms(p, n, [bernoulli[k] / factorial(k) for k in range(K + 1)])
+        assert (got.floor, got.coeffs) == (want.floor, want.coeffs)
+        shallow += K < top - floor
+        nonzero += not got.is_zero()
+    assert shallow > 20
+    assert (nonzero > 20) if perturbed else (nonzero == 0)
 
 
 def test_em_apply_rejects_polynomial_order():

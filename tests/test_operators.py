@@ -7,6 +7,7 @@ import pytest
 from logalg.operators import (
     ArtinOp,
     bernoulli_j,
+    convolve,
     forward_difference,
     gen_binomial,
     identity_op,
@@ -194,6 +195,23 @@ def test_comp_inverse_never_composes(monkeypatch):
 
     monkeypatch.setattr(ArtinOp, "compose", forbidden)
     assert forward_difference(12).comp_inverse().coeffs[12] == F(-1, 12)
+
+
+def test_compose_stops_at_the_outer_top_term(monkeypatch):
+    # the identity's terms above D^0 are exact zeros: no power of the inner series is built
+    from logalg import operators
+
+    inner = forward_difference(12).comp_inverse()
+    calls = []
+
+    def counting(a, b, cap):
+        calls.append(cap)
+        return convolve(a, b, cap)
+
+    monkeypatch.setattr(operators, "convolve", counting)
+    composed = identity_op(12).compose(inner)
+    assert calls == []
+    assert (composed.cap, composed.coeffs) == (12, {0: F(1)})
 
 
 def random_series_op(rng, cap):
@@ -513,8 +531,20 @@ def test_json_roundtrip():
         {"cap": 2, "coeffs": [[1, None]]},
         {"cap": 2, "coeffs": [[1, "1e10000"]]},
         {"cap": 2, "coeffs": [[1, "2.5E-4301"]]},
+        {"cap": 2, "coeffs": [[1, "1e4300"]]},
+        {"cap": 2, "coeffs": [[1, "123e4298"]]},
     ],
 )
 def test_from_obj_rejects_malformed(obj):
     with pytest.raises(ValueError):
         ArtinOp.from_obj(obj)
+
+
+def test_from_obj_accepts_4300_digits():
+    # 10**4299 has 4300 digits, the most Python converts to and from str
+    for text in ("1e4299", "1e-4299"):
+        op = ArtinOp.from_obj({"cap": 2, "coeffs": [[1, text]]})
+        assert op.coeffs[1] == F(text)
+        assert ArtinOp.from_json(op.to_json()) == op
+        p = LogSeries.from_obj({"order": "generic", "floor": 0, "coeffs": [[1, text]]})
+        assert LogSeries.from_json(p.to_json()) == p

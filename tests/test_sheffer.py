@@ -114,6 +114,23 @@ def test_cache_deepening():
     assert agrees(shallow, deep)
 
 
+def test_order_zero_member_below_floor_zero_is_built_once(monkeypatch):
+    # an order-(0) floor below 0 reads as 0, so the cached member serves it
+    builds = []
+    original = GradedSeq._build
+
+    def counting(self, order, a, floor):
+        builds.append((order, a, floor))
+        return original(self, order, a, floor)
+
+    monkeypatch.setattr(GradedSeq, "_build", counting)
+    seq = bernoulli_seq()
+    got = [seq.member(Z, 3, -2) for _ in range(5)]
+    assert len(builds) == 1
+    assert all(m == seq.member(Z, 3, 0) for m in got)
+    assert len(builds) == 1
+
+
 # -- characterization checks -------------------------------------------
 
 
