@@ -14,13 +14,12 @@ values are exposed rather than silently picking one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .operators import bernoulli_j, gen_binomial, one_minus_d_pow, weierstrass, ArtinOp
 from .roman import roman_factorial, roman_ratio
-from .series import LogSeries, OrderTag, harmonic, zero_series
+from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 from .sheffer import AppellRule, GradedSeq, ShefferRule, exp_genfun_coefficients
 
 __all__ = [
@@ -175,12 +174,11 @@ def laguerre_genfun_check(b: int, K: int) -> bool:
 # -- table emission ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeqTable:
-    name: str
-    parameters: dict[str, Fraction]
-    depth: int
-    rows: list[tuple[int, LogSeries]] = field(default_factory=list)
+class SeqTable(Frozen):
+    """name: str, parameters: dict[str, Fraction], depth: int and
+    rows: list[tuple[int, LogSeries]]."""
+
+    __slots__ = ("name", "parameters", "depth", "rows")
 
     def to_obj(self) -> dict:
         return {

@@ -8,8 +8,10 @@ Subcommands:
   sum     -- numeric Euler-MacLaurin instances (harmonic / Stirling)
   eval    -- numeric evaluation of a series at a point
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (argparse
-default).  Output is deterministic for fixed flags.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(argparse's default, a malformed value, a float out of range).  The
+rational flags --x, --sigma and --grade are read as JSON coefficients
+are.  Output is deterministic for fixed flags.
 """
 
 from __future__ import annotations
@@ -34,10 +36,18 @@ from .eulermac import (
 )
 from .numeric import eval_series
 from .operators import forward_difference
-from .series import LogSeries, OrderTag
+from .series import LogSeries, OrderTag, exact_rational
 from .sheffer import AssociatedRule, GradedSeq, HarmonicRule
 
 _SEQ_NAMES = ("bernoulli", "hermite", "laguerre", "harmonic")
+
+
+def _rational(flag: str, text: str) -> Fraction:
+    """A rational flag value, read as a JSON coefficient is read."""
+    try:
+        return exact_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"--{flag} {text!r}: {exc}") from exc
 
 
 def _named_seq(name: str, sigma: Fraction, grade: Fraction) -> GradedSeq:
@@ -59,8 +69,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         args.a_to,
         args.depth,
         order=OrderTag.ZERO if args.order == "zero" else OrderTag.GENERIC,
-        sigma=Fraction(args.sigma),
-        grade=Fraction(args.grade),
+        sigma=args.sigma,
+        grade=args.grade,
     )
     print(table.to_latex() if args.format == "latex" else table.to_json())
     return 0
@@ -68,7 +78,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_expand(args: argparse.Namespace) -> int:
     series = LogSeries.from_json(args.series)
-    seq = _named_seq(args.basis, Fraction(args.sigma), Fraction(args.grade))
+    seq = _named_seq(args.basis, args.sigma, args.grade)
     coeffs = seq.taylor_coeffs(series, args.amin)
     print(json.dumps([[a, str(c)] for a, c in sorted(coeffs.items(), reverse=True)]))
     return 0
@@ -86,7 +96,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 ok = False
             print(f"em residual K={k}: {status} (residual lead: {report.residual_lead})")
     elif args.what == "sheffer":
-        seq = _named_seq(args.seq, Fraction(args.sigma), Fraction(args.grade))
+        seq = _named_seq(args.seq, args.sigma, args.grade)
         order = OrderTag.GENERIC
         for a in range(-args.depth // 2, args.depth // 2 + 1):
             good = seq.check_lowering(order, a, a - args.depth)
@@ -99,14 +109,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"sheffer identities ({args.seq}, a={a}): {status}")
     elif args.what == "genfun":
         if args.seq == "laguerre":
-            grade = Fraction(args.grade)
-            if grade.denominator != 1:
-                raise ValueError(f"the generating-function check needs an integer grade, got {grade}")
-            good = laguerre_genfun_check(int(grade), args.depth)
+            if args.grade.denominator != 1:
+                raise ValueError(f"the generating-function check needs an integer grade, got {args.grade}")
+            good = laguerre_genfun_check(int(args.grade), args.depth)
         elif args.seq == "assoc-delta":
             good = GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(args.depth)
         else:
-            seq = _named_seq(args.seq, Fraction(args.sigma), Fraction(args.grade))
+            seq = _named_seq(args.seq, args.sigma, args.grade)
             good = seq.genfun_check_order_zero(args.depth)
         if args.corrupt:
             good = False
@@ -118,14 +127,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    x = Fraction(args.x)
+    x = args.x
+    try:
+        xf = float(x)
+    except OverflowError:
+        raise ValueError("--x overflows a float") from None
+    if x > 0 and xf == 0:
+        raise ValueError("--x underflows to 0.0 as a float")
     if args.kind == "harmonic":
         lhs, rhs, err = harmonic_identity(x, args.n, args.order)
-        bound = first_omitted_term_bound(float(x), args.n, args.order)
+        bound = first_omitted_term_bound(xf, args.n, args.order)
         print(f"exact lhs = {lhs} = {float(lhs):.15g}")
     else:
         lhs, rhs, err = stirling_identity(x, args.n, args.order)
-        bound = first_omitted_term_bound(float(x), args.n, args.order, log_case=True)
+        bound = first_omitted_term_bound(xf, args.n, args.order, log_case=True)
         print(f"lhs = {lhs:.15g}")
     print(f"series rhs = {rhs:.15g}")
     print(f"abs err = {err:.6g} (first omitted term bound: {bound:.6g})")
@@ -153,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grade", default="0", help="Laguerre grade b")
     p.add_argument("--order", choices=("zero", "generic"), default="generic")
     p.add_argument("--format", choices=("json", "latex"), default="json")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=_cmd_table, rational_flags=("sigma", "grade"))
 
     p = sub.add_parser("expand", help="expand a series in a named basis")
     p.add_argument("--basis", choices=_SEQ_NAMES, required=True)
@@ -161,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amin", type=int, required=True)
     p.add_argument("--sigma", default="1/2")
     p.add_argument("--grade", default="0")
-    p.set_defaults(func=_cmd_expand)
+    p.set_defaults(func=_cmd_expand, rational_flags=("sigma", "grade"))
 
     p = sub.add_parser("verify", help="run symbolic identity checks")
     p.add_argument("what", choices=("em", "sheffer", "genfun"))
@@ -170,29 +185,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", default="1/2")
     p.add_argument("--grade", default="0")
     p.add_argument("--corrupt", action="store_true", help="negative control: force a failure")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, rational_flags=("sigma", "grade"))
 
     p = sub.add_parser("sum", help="numeric Euler-MacLaurin summation checks")
     p.add_argument("kind", choices=("harmonic", "stirling"))
     p.add_argument("--x", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--order", type=int, default=6)
-    p.set_defaults(func=_cmd_sum)
+    p.set_defaults(func=_cmd_sum, rational_flags=("x",))
 
     p = sub.add_parser("eval", help="evaluate a series numerically")
     p.add_argument("--series", required=True, help="LogSeries JSON")
     p.add_argument("--level", type=int, choices=(0, 1), required=True)
     p.add_argument("--x", type=float, required=True)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, rational_flags=())
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in args.rational_flags:
+            setattr(args, flag, _rational(flag, getattr(args, flag)))
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a float conversion or power out of range
+        print(f"error: beyond floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

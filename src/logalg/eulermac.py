@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .classics import bernoulli_member, bernoulli_number
 from .operators import ArtinOp, forward_difference, identity_op
 from .roman import roman
-from .series import LogSeries, OrderTag, harmonic, zero_series
+from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 
 __all__ = [
     "EMReport",
@@ -37,11 +36,10 @@ __all__ = [
 RatLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class EMReport:
-    truncation_order: int
-    residual_lead: int | None
-    symbolic_ok: bool
+class EMReport(Frozen):
+    """truncation_order: int, residual_lead: int | None, symbolic_ok: bool."""
+
+    __slots__ = ("truncation_order", "residual_lead", "symbolic_ok")
 
     def to_obj(self) -> dict:
         return {

@@ -19,14 +19,13 @@ expansion) therefore pair with h, not h**-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Mapping, Union
 
 from .operators import ArtinOp, convolve, identity_op, monomial_op
 from .roman import roman, roman_coeff, roman_factorial
-from .series import LogSeries, OrderTag, harmonic, zero_series
+from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 
 __all__ = [
     "HarmonicRule",
@@ -41,27 +40,23 @@ OpFactory = Callable[[int], ArtinOp]
 RatLike = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class HarmonicRule:
+class HarmonicRule(Frozen):
+    __slots__ = ()
     h = f = None
 
 
-@dataclass(frozen=True)
-class AppellRule:
-    h: OpFactory
+class AppellRule(Frozen):
+    __slots__ = ("h",)  # h: OpFactory
     f = None
 
 
-@dataclass(frozen=True)
-class AssociatedRule:
-    f: OpFactory
+class AssociatedRule(Frozen):
+    __slots__ = ("f",)  # f: OpFactory
     h = None
 
 
-@dataclass(frozen=True)
-class ShefferRule:
-    h: OpFactory
-    f: OpFactory
+class ShefferRule(Frozen):
+    __slots__ = ("h", "f")  # both OpFactory
 
 
 Rule = Union[HarmonicRule, AppellRule, AssociatedRule, ShefferRule]

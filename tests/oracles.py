@@ -81,6 +81,38 @@ def em_apply_by_terms(p, n, weights):
     return (lhs - rhs).truncate(cut)
 
 
+def convolve_by_fractions(a, b, cap):
+    """Truncated Cauchy product term by term in Fraction arithmetic: the
+    loop the integer-numerator kernel replaced."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            if e <= cap:
+                out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def pow_by_fraction_miller(op, n):
+    """op**n by Miller's recurrence m b_m = sum_k ((n+1) k - m) g_k b_{m-k}
+    on Fractions, one reduction per term: the loop the integer form
+    replaced.  Same cap rule as ``ArtinOp.__pow__``."""
+    if op.is_zero():
+        if n < 0:
+            raise ValueError("the zero operator has no reciprocal")
+        return identity_op(op.cap) if n == 0 else ArtinOp(n * (op.cap + 1) - 1, {})
+    lead = op.lead
+    terms = op.cap - lead
+    c0 = op.coeffs[lead]
+    g = {e - lead: c / c0 for e, c in op.coeffs.items() if e != lead}
+    b = [Fraction(1)]
+    for m in range(1, terms + 1):
+        acc = sum(((n + 1) * k - m) * gk * b[m - k] for k, gk in g.items() if k <= m)
+        b.append(Fraction(acc) / m)
+    base = n * lead
+    return ArtinOp(base + terms, {base + m: c0**n * bm for m, bm in enumerate(b)})
+
+
 def recip_by_division(op):
     """Multiplicative inverse by recursive division of truncated series:
     b_0 = 1, b_m = -sum_{i=1..m} a_i b_{m-i} on the normalised series."""

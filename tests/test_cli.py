@@ -188,6 +188,34 @@ def test_sum_rejects_negative_n_or_order(capsys, kind, args):
     assert "n >= 0 and order >= 0" in err
 
 
+BIG_COEFF = '{"order": "generic", "floor": 0, "coeffs": [[0, "1e400"]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "harmonic", "--x", "1/0", "--n", "3"],
+        ["table", "hermite", "--sigma", "1/0"],
+        ["verify", "genfun", "--seq", "laguerre", "--grade", "1/0"],
+        ["expand", "--basis", "hermite", "--sigma", "1/0", "--series", LAM2, "--amin", "-3"],
+        ["verify", "em", "--sigma", "1/0"],  # read even where it is not used
+        ["table", "hermite", "--sigma", "abc"],
+        ["sum", "stirling", "--x", "1e400", "--n", "2"],  # float(x) overflows
+        ["sum", "harmonic", "--x", "1e-400", "--n", "2"],  # float(x) underflows to 0.0
+        ["sum", "harmonic", "--x", "1e-300", "--n", "2"],  # x**-k overflows
+        ["eval", "--series", BIG_COEFF, "--level", "1", "--x", "2"],
+        ["eval", "--series", LAM2, "--level", "1", "--x", "1e300"],
+    ],
+)
+def test_bad_rational_or_float_range_exit_2(capsys, argv):
+    # each used to escape as a traceback with exit 1, the verification-failure code
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- eval ----------------------------------------------------------------
 
 

@@ -22,7 +22,9 @@ from oracles import (
     apply_by_roman_ratio,
     classical_bernoulli,
     comp_inverse_by_compose,
+    convolve_by_fractions,
     derivative_by_roman,
+    pow_by_fraction_miller,
     pow_by_squaring,
     recip_by_division,
 )
@@ -284,6 +286,69 @@ def test_pow_of_zero_operator_matches_binary_powering(cap):
     for n in range(-6, 0):
         with pytest.raises(ValueError):
             zero**n
+
+
+# -- the integer kernels against their Fraction loops ------------------
+
+
+def random_map(rng, lo, hi, as_int):
+    """Coefficients on a random subset of lo..hi (empty when lo > hi),
+    zeros included, as ints or as Fractions."""
+    out = {}
+    for e in range(lo, hi + 1):
+        if rng.random() < 0.8:
+            out[e] = rng.randint(-6, 6) if as_int else F(rng.randint(-9, 9), rng.randint(1, 12))
+    return out
+
+
+def all_fractions(coeffs):
+    return all(type(c) is Fraction for c in coeffs.values())
+
+
+@pytest.mark.parametrize("as_int", [False, True])
+def test_convolve_matches_fraction_loop(as_int):
+    rng = random.Random(31 + as_int)
+    for _ in range(200):
+        a = random_map(rng, rng.randint(-5, 3), rng.randint(-6, 8), as_int)
+        b = random_map(rng, rng.randint(-5, 3), rng.randint(-6, 8), as_int)
+        cap = rng.randint(-12, 16)
+        got = convolve(a, b, cap)
+        assert got == convolve_by_fractions(a, b, cap)
+        assert all_fractions(got)
+
+
+def test_convolve_edge_cases():
+    one = {0: F(1)}
+    assert convolve({}, one, 5) == convolve(one, {}, 5) == convolve({}, {}, 0) == {}
+    # the degree-1 terms cancel, and the zero is dropped
+    assert convolve({0: F(1), 1: F(1)}, {0: F(1), 1: F(-1)}, 4) == {0: F(1), 2: F(-1)}
+    assert convolve({-2: F(1, 2)}, {-1: 3, 0: F(1, 3)}, -2) == {-3: F(3, 2), -2: F(1, 6)}
+    # a cap below every exponent of the product
+    assert convolve({1: 1, 2: 1}, {3: 1}, 3) == {}
+    got = convolve({0: 2}, {0: 3, 1: -4}, 1)
+    assert got == {0: 6, 1: -8} and all_fractions(got)
+
+
+@pytest.mark.parametrize("as_int", [False, True])
+@pytest.mark.parametrize("lead", range(-2, 3))
+def test_pow_matches_fraction_miller(lead, as_int):
+    rng = random.Random(200 + 10 * lead + as_int)
+    for c0 in LEADING:
+        for width in (0, 1, 4, 9):
+            coeffs = random_map(rng, lead + 1, lead + width, as_int)
+            coeffs[lead] = int(c0) if as_int and c0.denominator == 1 else c0
+            op = ArtinOp(lead + width, coeffs)
+            for n in range(-6, 7):
+                got, want = op**n, pow_by_fraction_miller(op, n)
+                assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
+                assert all_fractions(got.coeffs)
+
+
+def test_recip_of_j_at_cap_150_matches_fraction_miller():
+    # a denominator blow-up in the integer form shows as a slow test
+    j = bernoulli_j(150)
+    got, want = j**-1, pow_by_fraction_miller(j, -1)
+    assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
 
 
 @pytest.mark.parametrize("lead", range(-2, 3))

@@ -49,6 +49,18 @@ def test_coefficient_below_floor_rejected():
         LogSeries(G, -2, {-3: F(1)})
 
 
+def test_series_is_an_immutable_value():
+    p = LogSeries(G, -2, {1: F(1, 2)})
+    assert p == LogSeries(G, -2, {1: F(1, 2), 0: 0})
+    assert p != LogSeries(G, -3, {1: F(1, 2)}) and p != LogSeries(Z, 0, {1: F(1, 2)})
+    assert repr(p) == "LogSeries(order=<OrderTag.GENERIC: 'generic'>, floor=-2, coeffs={1: Fraction(1, 2)})"
+    with pytest.raises(AttributeError):
+        p.floor = 0
+    with pytest.raises(AttributeError):
+        del p.coeffs
+    assert (p.floor, p.coeffs) == (-2, {1: F(1, 2)})
+
+
 # -- vector space ------------------------------------------------------
 
 
