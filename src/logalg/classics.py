@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .operators import bernoulli_j, gen_binomial, one_minus_d_pow, weierstrass, ArtinOp
+from .operators import bernoulli_j, one_minus_d_pow, weierstrass, ArtinOp
 from .roman import roman_factorial, roman_ratio
 from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 from .sheffer import AppellRule, GradedSeq, ShefferRule, exp_genfun_coefficients
@@ -163,7 +163,7 @@ def laguerre_genfun_check(b: int, K: int) -> bool:
         raise ValueError("integer grade b >= 0 required for the generating-function check")
     # u(y) = y/(y-1) = -(y + y^2 + ...); prefactor (1-y)^{-b-1}.
     u = {k: Fraction(-1) for k in range(1, K + 1)}
-    pref = {k: gen_binomial(-b - 1, k) * (-1) ** k for k in range(K + 1)}
+    pref = one_minus_d_pow(-b - 1, K).coeffs
     for k, lhs in enumerate(exp_genfun_coefficients(pref, u, K)):
         rhs = laguerre_member(OrderTag.ZERO, k, b, 0).scale(1 / roman_factorial(k))
         if lhs != rhs:

@@ -9,9 +9,14 @@ Subcommands:
   eval    -- numeric evaluation of a series at a point
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(argparse's default, a malformed value, a float out of range).  The
-rational flags --x, --sigma and --grade are read as JSON coefficients
-are.  Output is deterministic for fixed flags.
+(argparse's default, a malformed value, a value beyond its budget, a
+float out of range).  The rational flags --x, --sigma and --grade are
+read as JSON coefficients are.  Output is deterministic for fixed flags.
+
+Budget.  Every size the CLI reads is bounded, so that no input makes a
+command run away: a degree, a floor, --from, --to and --amin lie within
++-MAX_DEGREE; a span (top - floor of a series, --depth, --to - --from)
+is at most MAX_SPAN; --n is at most MAX_N and --order at most MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -41,6 +46,33 @@ from .sheffer import AssociatedRule, GradedSeq, HarmonicRule
 
 _SEQ_NAMES = ("bernoulli", "hermite", "laguerre", "harmonic")
 
+# The input budget.  The values keep every recorded command of the
+# benchmark catalogue inside; at the maxima the slowest command takes
+# seconds, not minutes: `verify sheffer --seq laguerre --depth 64` and
+# `sum harmonic --n 100` with a 4300-digit --x.
+MAX_DEGREE = 256  # |degree| and |floor| of a series, |--from|, |--to|, |--amin|
+MAX_SPAN = 64  # top - floor of a series, --depth, --to - --from
+MAX_N = 100  # sum --n: the exact left side costs about n^2 times the size of x
+MAX_ORDER = 100  # sum --order: Bernoulli terms; past about 170 no float holds them
+
+
+def _within(name: str, value: int, maximum: int, *, signed: bool = False) -> None:
+    """Reject a value beyond its budget; a signed one is bounded in magnitude."""
+    if (abs(value) if signed else value) > maximum:
+        size = "magnitude " if signed else ""
+        raise ValueError(f"{name} {value} exceeds the maximum {size}{maximum}")
+
+
+def _series(text: str) -> LogSeries:
+    """A --series value, read from JSON and held to the budget."""
+    series = LogSeries.from_json(text)
+    _within("series floor", series.floor, MAX_DEGREE, signed=True)
+    top = series.top_degree()
+    if top is not None:
+        _within("series degree", top, MAX_DEGREE, signed=True)
+        _within("series top - floor", top - series.floor, MAX_SPAN)
+    return series
+
 
 def _rational(flag: str, text: str) -> Fraction:
     """A rational flag value, read as a JSON coefficient is read."""
@@ -63,6 +95,10 @@ def _named_seq(name: str, sigma: Fraction, grade: Fraction) -> GradedSeq:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    _within("--from", args.a_from, MAX_DEGREE, signed=True)
+    _within("--to", args.a_to, MAX_DEGREE, signed=True)
+    _within("--to - --from", args.a_to - args.a_from, MAX_SPAN)
+    _within("--depth", args.depth, MAX_SPAN)
     table = emit_table(
         args.name,
         args.a_from,
@@ -77,7 +113,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    series = LogSeries.from_json(args.series)
+    series = _series(args.series)
+    _within("--amin", args.amin, MAX_DEGREE, signed=True)
     seq = _named_seq(args.basis, args.sigma, args.grade)
     coeffs = seq.taylor_coeffs(series, args.amin)
     print(json.dumps([[a, str(c)] for a, c in sorted(coeffs.items(), reverse=True)]))
@@ -87,6 +124,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError(f"verify {args.what} needs --depth of at least 1, got {args.depth}")
+    _within("--depth", args.depth, MAX_SPAN)
     ok = True
     if args.what == "em":
         for k in range(1, args.depth + 1):
@@ -134,13 +172,21 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         raise ValueError("--x overflows a float") from None
     if x > 0 and xf == 0:
         raise ValueError("--x underflows to 0.0 as a float")
-    if args.kind == "harmonic":
-        lhs, rhs, err = harmonic_identity(x, args.n, args.order)
-        bound = first_omitted_term_bound(xf, args.n, args.order)
+    _within("--n", args.n, MAX_N)
+    _within("--order", args.order, MAX_ORDER)
+    harmonic = args.kind == "harmonic"
+    identity = harmonic_identity if harmonic else stirling_identity
+    try:
+        lhs, rhs, err = identity(x, args.n, args.order)
+        bound = first_omitted_term_bound(xf, args.n, args.order, log_case=not harmonic)
+    except OverflowError:  # x**-k, with x small and k up to the order
+        raise ValueError(
+            f"--x {xf:g} with --n {args.n} and --order {args.order}: "
+            "a term is beyond floating-point range"
+        ) from None
+    if harmonic:
         print(f"exact lhs = {lhs} = {float(lhs):.15g}")
     else:
-        lhs, rhs, err = stirling_identity(x, args.n, args.order)
-        bound = first_omitted_term_bound(xf, args.n, args.order, log_case=True)
         print(f"lhs = {lhs:.15g}")
     print(f"series rhs = {rhs:.15g}")
     print(f"abs err = {err:.6g} (first omitted term bound: {bound:.6g})")
@@ -148,8 +194,13 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    series = LogSeries.from_json(args.series)
-    value, bound = eval_series(series, args.level, args.x)
+    series = _series(args.series)
+    try:
+        value, bound = eval_series(series, args.level, args.x)
+    except OverflowError:  # x**d, or a float coefficient
+        raise ValueError(
+            f"--x {args.x:g} at --level {args.level}: a term of the series is beyond floating-point range"
+        ) from None
     print(f"{value:.15g}")
     print(f"trunc bound ~ {bound:.6g}", file=sys.stderr)
     return 0
@@ -210,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OverflowError as exc:  # a float conversion or power out of range
-        print(f"error: beyond floating-point range: {exc}", file=sys.stderr)
         return 2
 
 

@@ -23,7 +23,10 @@ lead below.
   lam_d / rf(d) by one index, so p = sum_d c_d lam_d acts as the operator
   sum_d c_d rf(d) D^(-d), known through D^(-p.floor) (Loeb & Rota, Adv.
   Math. 75, 1989).  Operators only lower degree, so at polynomial order
-  the result is the generic one without its negative degrees.
+  the result is the generic one without its negative degrees.  Every
+  action on a series is this product: ``LogSeries.shift`` applies
+  E^z = ``shift_op(z, ...)``, and ``derivative`` and ``antiderivative``
+  apply the monomials D and D**-1.
 
 Representation.  Coefficient maps are Fraction maps, in ``coeffs`` and at
 every public boundary.  The two hot kernels, ``convolve`` and ``a ** n``,
@@ -35,13 +38,12 @@ reduced by one gcd, not one per term.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Mapping, Union
 
 from .roman import roman_factorial
-from .series import Frozen, LogSeries, OrderTag, exact_int, exact_rational
+from .series import Frozen, LogSeries, OrderTag
 
 __all__ = [
     "ArtinOp",
@@ -52,20 +54,10 @@ __all__ = [
     "bernoulli_j",
     "weierstrass",
     "one_minus_d_pow",
-    "gen_binomial",
     "convolve",
 ]
 
 RatLike = Union[Fraction, int]
-
-
-def gen_binomial(r: RatLike, k: int) -> Fraction:
-    """Generalized binomial coefficient C(r, k) for rational r, integer k >= 0."""
-    r = Fraction(r)
-    out = Fraction(1)
-    for i in range(k):
-        out *= (r - i)
-    return out / factorial(k)
 
 
 class ArtinOp(Frozen):
@@ -268,31 +260,6 @@ class ArtinOp(Frozen):
         terms = (a[d] * c * roman_factorial(d) for d, c in p.coeffs.items() if d in a)
         return sum(terms, Fraction(0))
 
-    # -- serialization ------------------------------------------------
-
-    def to_obj(self) -> dict:
-        return {
-            "lead": self.lead if not self.is_zero() else None,
-            "cap": self.cap,
-            "coeffs": [[e, str(c)] for e, c in sorted(self.coeffs.items())],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ArtinOp":
-        try:
-            cap = exact_int(obj["cap"])
-            coeffs = {exact_int(e): exact_rational(c) for e, c in obj["coeffs"]}
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"malformed operator object: {exc}") from exc
-        return cls(cap, coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ArtinOp":
-        return cls.from_obj(json.loads(text))
-
 
 def _lift(m: Mapping[int, RatLike]) -> tuple[int, dict[int, int]]:
     """The pair (den, nums) with m[e] == nums[e] / den for every e, den
@@ -366,5 +333,14 @@ def weierstrass(sigma: RatLike, cap: int) -> ArtinOp:
 
 
 def one_minus_d_pow(r: RatLike, cap: int) -> ArtinOp:
-    """(1 - D)**r for rational r, via the generalized binomial series."""
-    return ArtinOp(cap, {k: gen_binomial(r, k) * (-1) ** k for k in range(cap + 1)})
+    """(1 - D)**r for rational r: the binomial series, whose successive
+    coefficients differ by the factor (k - r)/(k + 1)."""
+    r = Fraction(r)
+    out: dict[int, Fraction] = {}
+    c = Fraction(1)
+    for k in range(cap + 1):
+        if c == 0:
+            break
+        out[k] = c
+        c = c * (k - r) / (k + 1)
+    return ArtinOp(cap, out)

@@ -144,32 +144,12 @@ class LogSeries(Frozen):
         return monomial_op(n, n + max(self.coeffs, default=self.floor) - self.floor).apply(self)
 
     def shift(self, z: RatLike) -> "LogSeries":
-        """Apply the shift E^z = sum_k z^k D^k / k!.
+        """Apply the shift E^z = sum_k z^k D^k / k!, known through
+        D^(top - floor), so that the floor is preserved.  On the basis,
+        E^z lam_a = sum_{k>=0} rc(a,k) z^k lam_{a-k}."""
+        from .operators import shift_op  # operators imports this module
 
-        On the basis, E^z lam_a = sum_{k>=0} rc(a,k) z^k lam_{a-k}; since
-        the top degree is finite, every retained coefficient is a finite
-        exact sum and the floor is preserved.  The terms of one basis
-        element follow the recurrence rc(a,k+1) = rc(a,k) roman(a-k)/(k+1),
-        which holds for every integer a because rf(n) = roman(n) rf(n-1).
-        The running term is kept as an unreduced integer fraction, so each
-        term costs O(1) integer products and one reduction, and the whole
-        shift O(terms * (top - floor)) operations.
-        It is the one action kept apart from ``ArtinOp.apply``: through the
-        product a shift took 1.75x the CPU time (series of depth 6-20,
-        2-vCPU Xeon, Python 3.11), a full Fraction product per term.
-        """
-        z = Fraction(z)
-        if z == 0:
-            return self
-        out: dict[int, Fraction] = {}
-        zn, zd = z.numerator, z.denominator
-        for a, c in self.coeffs.items():
-            num, den = c.numerator, c.denominator
-            for k in range(a - self.floor + 1):
-                out[a - k] = out.get(a - k, 0) + Fraction(num, den)
-                num *= zn * ((a - k) or 1)  # roman(a - k)
-                den *= zd * (k + 1)
-        return LogSeries(self.order, self.floor, out)
+        return shift_op(z, max(self.coeffs, default=self.floor) - self.floor).apply(self)
 
     def eval_functional(self) -> Fraction:
         """The augmentation: the coefficient of lam_0.

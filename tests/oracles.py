@@ -1,9 +1,9 @@
 """Independent brute-force oracles shared across test modules."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from logalg.operators import ArtinOp, gen_binomial, identity_op
+from logalg.operators import ArtinOp, identity_op
 from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 
@@ -14,6 +14,22 @@ def classical_bernoulli(n):
     for m in range(1, n + 1):
         out.append(-sum(Fraction(comb(m + 1, k)) * out[k] for k in range(m)) / (m + 1))
     return out
+
+
+def gen_binomial(r, k):
+    """Generalized binomial coefficient C(r, k) for rational r, integer
+    k >= 0, as the product r (r-1) ... (r-k+1) / k!."""
+    r = Fraction(r)
+    out = Fraction(1)
+    for i in range(k):
+        out *= r - i
+    return out / factorial(k)
+
+
+def one_minus_d_pow_by_binomials(r, cap):
+    """(1 - D)**r with each coefficient C(r, k) (-1)^k from scratch: the
+    construction the term ratio replaced."""
+    return ArtinOp(cap, {k: gen_binomial(r, k) * (-1) ** k for k in range(cap + 1)})
 
 
 def comp_inverse_by_compose(f):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from logalg.cli import main
+from logalg.cli import MAX_DEGREE, MAX_N, MAX_ORDER, MAX_SPAN, main
 from logalg.series import LogSeries, OrderTag, harmonic
 
 F = Fraction
@@ -214,6 +214,81 @@ def test_bad_rational_or_float_range_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "harmonic", "--x", "1e-300", "--n", "2"],
+        ["sum", "stirling", "--x", "1e-300", "--n", "2"],
+        ["sum", "harmonic", "--x", "1e-30", "--n", "2", "--order", "20"],
+        ["eval", "--level", "1", "--x", "1e-300", "--series",
+         '{"order": "generic", "floor": -3, "coeffs": [[-3, "1"]]}'],
+    ],
+)
+def test_float_overflow_names_the_inputs(capsys, argv):
+    # these used to print Python's errno tuple, (34, 'Numerical result out of range')
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--x" in err and "(34," not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- input budget --------------------------------------------------------
+
+
+def series_json(floor, *degrees):
+    return json.dumps({"order": "generic", "floor": floor, "coeffs": [[d, "1"] for d in degrees]})
+
+
+@pytest.mark.parametrize(
+    "argv, name, maximum",
+    [
+        # each of the first three ran past a 5 s timeout before the budget
+        (["expand", "--basis", "bernoulli", "--amin", "0", "--series", series_json(0, 1e6)],
+         "series degree", MAX_DEGREE),
+        (["table", "bernoulli", "--from", "0", "--to", "100000", "--depth", "2"], "--to", MAX_DEGREE),
+        (["expand", "--basis", "bernoulli", "--amin", "99995", "--series", series_json(99990, 100000)],
+         "series floor", MAX_DEGREE),
+        (["expand", "--basis", "bernoulli", "--amin", "-3", "--series", series_json(-3, MAX_DEGREE + 1)],
+         "series degree", MAX_DEGREE),
+        (["eval", "--level", "1", "--x", "2", "--series", series_json(-MAX_DEGREE - 1, 0)],
+         "series floor", MAX_DEGREE),
+        (["expand", "--basis", "hermite", "--amin", "0", "--series", series_json(0, MAX_SPAN + 1)],
+         "series top - floor", MAX_SPAN),
+        (["expand", "--basis", "laguerre", "--amin", str(-MAX_DEGREE - 1), "--series", LAM2],
+         "--amin", MAX_DEGREE),
+        (["table", "hermite", "--from", str(-MAX_DEGREE - 1), "--to", "0"], "--from", MAX_DEGREE),
+        (["table", "laguerre", "--from", "0", "--to", str(MAX_SPAN + 1)], "--to - --from", MAX_SPAN),
+        (["table", "bernoulli", "--depth", str(MAX_SPAN + 1)], "--depth", MAX_SPAN),
+        (["verify", "sheffer", "--depth", "400"], "--depth", MAX_SPAN),
+        (["verify", "genfun", "--seq", "assoc-delta", "--depth", str(MAX_SPAN + 1)], "--depth", MAX_SPAN),
+        (["sum", "harmonic", "--x", "10", "--n", str(MAX_N + 1)], "--n", MAX_N),
+        (["sum", "stirling", "--x", "10", "--n", "5", "--order", str(MAX_ORDER + 1)], "--order", MAX_ORDER),
+    ],
+)
+def test_out_of_budget_exit_2(capsys, argv, name, maximum):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} ") and "maximum" in err and f"{maximum}\n" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "harmonic", "--from", str(MAX_DEGREE - MAX_SPAN), "--to", str(MAX_DEGREE),
+         "--depth", str(MAX_SPAN)],
+        ["expand", "--basis", "harmonic", "--amin", str(-MAX_DEGREE),
+         "--series", series_json(-MAX_DEGREE, -MAX_DEGREE + MAX_SPAN)],
+        ["sum", "stirling", "--x", "10", "--n", str(MAX_N), "--order", str(MAX_ORDER)],
+    ],
+)
+def test_budget_maxima_are_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and out and "error" not in err
 
 
 # -- eval ----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Hypothesis fuzzing of the CLI's JSON and rational inputs, in process
 through ``cli.main``: every run ends in exit 0, 1 or 2, and no exception
-escapes.  Degrees, depths and counts stay small: the CLI has no size
-budget yet, so a large one is slow rather than wrong."""
+escapes.  Degrees, depths and counts are small, so that the runs stay
+fast, or just beyond the CLI's input budget, where they must be rejected
+before any work is done."""
 
 import contextlib
 import io
@@ -11,11 +12,13 @@ from fractions import Fraction
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from logalg.cli import main
+from logalg.cli import MAX_DEGREE, MAX_N, MAX_ORDER, MAX_SPAN, main
 
 FUZZ = settings(derandomize=True, deadline=None, database=None)
 
 SMALL = st.integers(-6, 6)
+# beyond the budget: the maximum + 1, and 1e6 as an integral float
+FAR = st.sampled_from([MAX_DEGREE + 1, -MAX_DEGREE - 1, 1e6, -1e6])
 SPECIAL = st.sampled_from(
     ["0", "-0", "1/0", "0/0", "1/-2", "nan", "inf", "-inf", "1e400", "1e-400", "1e-300",
      "1e4301", "1_0", " 3/4 ", "", "x", "2.5e-3", "-7/3", "٣"]
@@ -34,7 +37,7 @@ RATIONAL_TEXT = st.booleans().flatmap(lambda edge: SPECIAL if edge else ORDINARY
 JSON_SCALAR = st.one_of(
     st.none(), st.booleans(), SMALL, st.floats(-8, 8), st.floats(allow_nan=False), RATIONAL_TEXT
 )
-DEGREE = st.one_of(SMALL, SMALL.map(float), st.floats(-8, 8), st.booleans(), st.text(max_size=3))
+DEGREE = st.one_of(SMALL, SMALL.map(float), FAR, st.floats(-8, 8), st.booleans(), st.text(max_size=3))
 JUNK_SERIES = st.fixed_dictionaries(
     {
         "order": st.one_of(st.sampled_from(["zero", "generic"]), JSON_SCALAR),
@@ -53,6 +56,8 @@ def well_formed_series(draw):
     may still be malformed text."""
     floor = draw(st.integers(-6, 3))
     degrees = draw(st.lists(st.integers(floor, floor + 6), max_size=6))
+    if draw(st.integers(0, 7)) == 0:  # a degree beyond the budget, or one past the span
+        degrees.append(draw(st.one_of(FAR.filter(lambda d: d > floor), st.just(floor + MAX_SPAN + 1))))
     order = draw(st.sampled_from(["zero", "generic"]))
     coeffs = [[d, draw(COEFF)] for d in degrees]
     return {"order": order, "floor": floor, "coeffs": coeffs}
@@ -81,7 +86,7 @@ def assert_clean_exit(argv):
 
 
 @settings(FUZZ, max_examples=50)
-@given(series=SERIES_TEXT, basis=BASIS, amin=SMALL)
+@given(series=SERIES_TEXT, basis=BASIS, amin=st.one_of(SMALL, st.just(-MAX_DEGREE - 1)))
 def test_fuzz_expand_series(series, basis, amin):
     assert_clean_exit(["expand", "--basis", basis, f"--series={series}", f"--amin={amin}"])
 
@@ -97,8 +102,8 @@ def test_fuzz_eval_series(obj, x):
 @given(
     kind=st.sampled_from(["harmonic", "stirling"]),
     x=RATIONAL_TEXT,
-    n=st.integers(-2, 30),
-    order=st.integers(-1, 12),
+    n=st.one_of(st.integers(-2, 30), st.just(MAX_N + 1)),
+    order=st.one_of(st.integers(-1, 12), st.just(MAX_ORDER + 1)),
 )
 def test_fuzz_sum_x(kind, x, n, order):
     assert_clean_exit(["sum", kind, f"--x={x}", f"--n={n}", f"--order={order}"])
@@ -110,7 +115,7 @@ def test_fuzz_sum_x(kind, x, n, order):
     seq=BASIS,
     sigma=RATIONAL_TEXT,
     grade=RATIONAL_TEXT,
-    depth=st.integers(1, 4),
+    depth=st.one_of(st.integers(1, 4), st.just(MAX_SPAN + 1)),
 )
 def test_fuzz_sigma_and_grade(command, seq, sigma, grade, depth):
     flags = [f"--sigma={sigma}", f"--grade={grade}"]

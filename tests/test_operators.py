@@ -9,7 +9,6 @@ from logalg.operators import (
     bernoulli_j,
     convolve,
     forward_difference,
-    gen_binomial,
     identity_op,
     monomial_op,
     one_minus_d_pow,
@@ -24,6 +23,8 @@ from oracles import (
     comp_inverse_by_compose,
     convolve_by_fractions,
     derivative_by_roman,
+    gen_binomial,
+    one_minus_d_pow_by_binomials,
     pow_by_fraction_miller,
     pow_by_squaring,
     recip_by_division,
@@ -71,6 +72,14 @@ def test_gen_binomial_matches_integer_binomial():
     for r in range(6):
         for k in range(6):
             assert gen_binomial(r, k) == comb(r, k)
+
+
+@pytest.mark.parametrize("r", [F(-3, 2), -1, -4, 0, F(1, 2), 2, 5, F(-7, 3)])
+def test_one_minus_d_pow_matches_binomials(r):
+    for cap in range(31):
+        op = one_minus_d_pow(r, cap)
+        assert op == one_minus_d_pow_by_binomials(r, cap)
+        assert op.cap == cap
 
 
 def test_shift_op_is_exponential():
@@ -574,42 +583,38 @@ def test_dj_equals_forward_difference():
     assert op_agrees(monomial_op(1, 1) * bernoulli_j(8), forward_difference(8))
 
 
-def test_json_roundtrip():
-    op = bernoulli_j(4).recip()
-    assert ArtinOp.from_json(op.to_json()) == op
-
-
+# exact_int and exact_rational read every JSON degree, floor and
+# coefficient; LogSeries.from_obj is their one caller.  Each object is
+# well formed but for one field.
 @pytest.mark.parametrize(
     "obj",
     [
-        {"cap": 2, "coeffs": [[1, "1/0"]]},
-        {"cap": 1e400, "coeffs": []},
-        {"cap": 2.5, "coeffs": []},
-        {"cap": 3, "coeffs": [[1.5, "1"]]},
-        {"cap": 3},
-        [3, []],
-        {"cap": 2, "coeffs": [[1, 0.1]]},
-        {"cap": True, "coeffs": [[1, "1"]]},
-        {"cap": 2, "coeffs": [[True, "1"]]},
-        {"cap": 2, "coeffs": [["1", "1"]]},
-        {"cap": 2, "coeffs": [[1, True]]},
-        {"cap": 2, "coeffs": [[1, None]]},
-        {"cap": 2, "coeffs": [[1, "1e10000"]]},
-        {"cap": 2, "coeffs": [[1, "2.5E-4301"]]},
-        {"cap": 2, "coeffs": [[1, "1e4300"]]},
-        {"cap": 2, "coeffs": [[1, "123e4298"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "1/0"]]},
+        {"order": "generic", "floor": 1e400, "coeffs": []},
+        {"order": "generic", "floor": 2.5, "coeffs": []},
+        {"order": "generic", "floor": 1, "coeffs": [[1.5, "1"]]},
+        {"order": "generic", "floor": 3},
+        ["generic", 3, []],
+        {"order": "generic", "floor": 1, "coeffs": [[1, 0.1]]},
+        {"order": "generic", "floor": True, "coeffs": [[1, "1"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[True, "1"]]},
+        {"order": "generic", "floor": 1, "coeffs": [["1", "1"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, True]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, None]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "1e10000"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "2.5E-4301"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "1e4300"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "123e4298"]]},
     ],
 )
 def test_from_obj_rejects_malformed(obj):
-    with pytest.raises(ValueError):
-        ArtinOp.from_obj(obj)
+    with pytest.raises(ValueError, match="malformed series object"):
+        LogSeries.from_obj(obj)
 
 
 def test_from_obj_accepts_4300_digits():
     # 10**4299 has 4300 digits, the most Python converts to and from str
     for text in ("1e4299", "1e-4299"):
-        op = ArtinOp.from_obj({"cap": 2, "coeffs": [[1, text]]})
-        assert op.coeffs[1] == F(text)
-        assert ArtinOp.from_json(op.to_json()) == op
         p = LogSeries.from_obj({"order": "generic", "floor": 0, "coeffs": [[1, text]]})
+        assert p.coeffs[1] == F(text)
         assert LogSeries.from_json(p.to_json()) == p

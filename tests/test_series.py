@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logalg.series import LogSeries, OrderTag, agrees, harmonic, zero_series
@@ -154,6 +154,7 @@ def polynomial_series(draw, top_max=10):
 
 
 @given(generic_series(floor_min=-14, top_max=8), st.sampled_from(SHIFTS))
+@example(LogSeries(G, -44, {4: F(-3, 7), 1: F(5), -20: F(1, 9), -44: F(2)}), F(-3, 7))  # depth 48
 @settings(max_examples=60)
 def test_shift_matches_roman_coeff_sum_generic(p, z):
     # the recurrence for rc(a, k) against each coefficient from scratch
