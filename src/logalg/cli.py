@@ -10,13 +10,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (argparse's default, a malformed value, a value beyond its budget, a
-float out of range).  The rational flags --x, --sigma and --grade are
-read as JSON coefficients are.  Output is deterministic for fixed flags.
+float out of range, a result too long to print).  The rational flags
+--x, --sigma and --grade are read as JSON coefficients are.  Output is
+deterministic for fixed flags.
 
 Budget.  Every size the CLI reads is bounded, so that no input makes a
 command run away: a degree, a floor, --from, --to and --amin lie within
 +-MAX_DEGREE; a span (top - floor of a series, --depth, --to - --from)
-is at most MAX_SPAN; --n is at most MAX_N and --order at most MAX_ORDER.
+is at most MAX_SPAN; --n is at most MAX_N and --order at most MAX_ORDER;
+the numerator and denominator of --x, --sigma and --grade have at most
+MAX_DIGITS digits each.
 """
 
 from __future__ import annotations
@@ -48,11 +51,12 @@ _SEQ_NAMES = ("bernoulli", "hermite", "laguerre", "harmonic")
 
 # The input budget.  The values keep every recorded command of the
 # benchmark catalogue inside; at the maxima the slowest command takes
-# seconds, not minutes: `verify sheffer --seq laguerre --depth 64` and
-# `sum harmonic --n 100` with a 4300-digit --x.
+# seconds, not minutes: `expand --basis laguerre` with floor 192, top 256
+# and a 10-digit --grade, and `verify sheffer --seq laguerre --depth 64`.
 MAX_DEGREE = 256  # |degree| and |floor| of a series, |--from|, |--to|, |--amin|
 MAX_SPAN = 64  # top - floor of a series, --depth, --to - --from
 MAX_N = 100  # sum --n: the exact left side costs about n^2 times the size of x
+MAX_DIGITS = 10  # digits of a numerator or denominator of --x, --sigma, --grade
 MAX_ORDER = 100  # sum --order: Bernoulli terms; past about 170 no float holds them
 
 
@@ -75,11 +79,35 @@ def _series(text: str) -> LogSeries:
 
 
 def _rational(flag: str, text: str) -> Fraction:
-    """A rational flag value, read as a JSON coefficient is read."""
+    """A rational flag value, read as a JSON coefficient is read and held
+    to MAX_DIGITS."""
     try:
-        return exact_rational(text)
+        value = exact_rational(text)
     except ValueError as exc:
         raise ValueError(f"--{flag} {text!r}: {exc}") from exc
+    digits = len(str(max(abs(value.numerator), value.denominator)))
+    if digits > MAX_DIGITS:
+        raise ValueError(
+            f"--{flag} has {digits} digits in its numerator or denominator, beyond the maximum {MAX_DIGITS}"
+        )
+    return value
+
+
+def _print_result(args: argparse.Namespace, render) -> None:
+    """Print render(), the text of a result.  Python turns no integer of
+    more than sys.get_int_max_str_digits() digits (4300 by default) into
+    text; such a result is an input error, named by the inputs it grows with."""
+    try:
+        text = render()
+    except ValueError:  # the one error a renderer raises
+        inputs = [f"--{flag}" for flag in args.rational_flags]
+        if hasattr(args, "series"):
+            inputs.append("--series")
+        raise ValueError(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, too many to print;"
+            f" it grows with {', '.join(inputs)}"
+        ) from None
+    print(text)
 
 
 def _named_seq(name: str, sigma: Fraction, grade: Fraction) -> GradedSeq:
@@ -108,7 +136,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         grade=args.grade,
     )
-    print(table.to_latex() if args.format == "latex" else table.to_json())
+    _print_result(args, table.to_latex if args.format == "latex" else table.to_json)
     return 0
 
 
@@ -117,7 +145,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     _within("--amin", args.amin, MAX_DEGREE, signed=True)
     seq = _named_seq(args.basis, args.sigma, args.grade)
     coeffs = seq.taylor_coeffs(series, args.amin)
-    print(json.dumps([[a, str(c)] for a, c in sorted(coeffs.items(), reverse=True)]))
+    _print_result(args, lambda: json.dumps([[a, str(c)] for a, c in sorted(coeffs.items(), reverse=True)]))
     return 0
 
 
@@ -165,13 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
-    x = args.x
-    try:
-        xf = float(x)
-    except OverflowError:
-        raise ValueError("--x overflows a float") from None
-    if x > 0 and xf == 0:
-        raise ValueError("--x underflows to 0.0 as a float")
+    x, xf = args.x, float(args.x)  # within MAX_DIGITS, x neither overflows nor underflows
     _within("--n", args.n, MAX_N)
     _within("--order", args.order, MAX_ORDER)
     harmonic = args.kind == "harmonic"
@@ -185,7 +207,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
             "a term is beyond floating-point range"
         ) from None
     if harmonic:
-        print(f"exact lhs = {lhs} = {float(lhs):.15g}")
+        _print_result(args, lambda: f"exact lhs = {lhs} = {float(lhs):.15g}")
     else:
         print(f"lhs = {lhs:.15g}")
     print(f"series rhs = {rhs:.15g}")

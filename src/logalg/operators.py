@@ -39,8 +39,9 @@ reduced by one gcd, not one per term.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, lcm
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .roman import roman_factorial
 from .series import Frozen, LogSeries, OrderTag
@@ -55,6 +56,7 @@ __all__ = [
     "weierstrass",
     "one_minus_d_pow",
     "convolve",
+    "powers",
 ]
 
 RatLike = Union[Fraction, int]
@@ -198,16 +200,12 @@ class ArtinOp(Frozen):
         # the inner truncation limits exactness to inner.cap.  Outer terms
         # above the top one are exact zeros, so no power past it is built.
         cap = min((self.cap + 1) * inner.lead - 1, inner.cap)
-        out: dict[int, Fraction] = {0: self.coeffs.get(0, Fraction(0))}
-        power = {0: Fraction(1)}
-        for k in range(1, max(self.coeffs) + 1):
-            power = convolve(power, inner.coeffs, cap)
+        out: dict[int, Fraction] = {}
+        for k, power in zip(range(max(self.coeffs) + 1), powers(inner.coeffs, cap)):
             ck = self.coeffs.get(k)
             if ck is not None:
                 for e, v in power.items():
                     out[e] = out.get(e, 0) + ck * v
-            if not power:
-                break
         return ArtinOp(cap, out)
 
     def comp_inverse(self) -> "ArtinOp":
@@ -222,12 +220,8 @@ class ArtinOp(Frozen):
         if self.is_zero() or self.lead != 1:
             raise ValueError("compositional inversion requires lead exactly 1")
         psi = ArtinOp(self.cap - 1, {e - 1: c for e, c in self.coeffs.items()}).recip()
-        power = identity_op(psi.cap)
-        g: dict[int, Fraction] = {}
-        for n in range(1, self.cap + 1):
-            power = power * psi
-            g[n] = power.coeff(n - 1) / n
-        return ArtinOp(self.cap, g)
+        psi_powers = islice(powers(psi.coeffs, psi.cap), 1, self.cap + 1)
+        return ArtinOp(self.cap, {n: p.get(n - 1, Fraction(0)) / n for n, p in enumerate(psi_powers, 1)})
 
     def deriv_wrt_d(self) -> "ArtinOp":
         """Formal derivative with respect to the symbol D (used by the
@@ -293,6 +287,17 @@ def convolve(
             out[e] = out.get(e, 0) + n1 * n2
     den = da * db
     return {e: Fraction(v, den) for e, v in out.items() if v}
+
+
+def powers(u: Mapping[int, RatLike], cap: int) -> Iterator[dict[int, Fraction]]:
+    """u**0, u**1, u**2, ... through exponent ``cap`` >= 0, one ``convolve``
+    each; stops after the first zero power."""
+    power = {0: Fraction(1)}
+    while True:
+        yield power
+        if not power:
+            return
+        power = convolve(power, u, cap)
 
 
 # -- constructor catalog ---------------------------------------------

@@ -20,11 +20,12 @@ expansion) therefore pair with h, not h**-1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 from typing import Callable, Mapping, Union
 
-from .operators import ArtinOp, convolve, identity_op, monomial_op
-from .roman import roman, roman_coeff, roman_factorial
+from .operators import ArtinOp, convolve, identity_op, monomial_op, powers
+from .roman import roman, roman_factorial
 from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "ShefferRule",
     "GradedSeq",
     "exp_genfun_coefficients",
+    "genfun_rows_match",
 ]
 
 OpFactory = Callable[[int], ArtinOp]
@@ -62,18 +64,13 @@ class ShefferRule(Frozen):
 Rule = Union[HarmonicRule, AppellRule, AssociatedRule, ShefferRule]
 
 
-def _checked_h(factory: OpFactory, cap: int) -> ArtinOp:
-    h = factory(cap)
-    if h.is_zero() or h.lead != 0 or h.coeffs[0] != 1:
-        raise ValueError("invertible operator must have lead 0 and unit constant term")
-    return h
-
-
-def _checked_f(factory: OpFactory, cap: int) -> ArtinOp:
-    f = factory(cap)
-    if f.is_zero() or f.lead != 1 or f.coeffs[1] != 1:
-        raise ValueError("delta operator must have lead 1 and unit linear coefficient")
-    return f
+def _checked(factory: OpFactory, cap: int, lead: int) -> ArtinOp:
+    """factory(cap), which must have lead 0 (h) or 1 (f) and a unit coefficient there."""
+    op = factory(cap)
+    if op.is_zero() or op.lead != lead or op.coeffs[lead] != 1:
+        raise ValueError(("invertible operator must have lead 0 and unit constant term",
+                          "delta operator must have lead 1 and unit linear coefficient")[lead])
+    return op
 
 
 class GradedSeq:
@@ -144,14 +141,14 @@ class GradedSeq:
         cap = max(cap, 1)
         if self.rule.f is None:
             return monomial_op(1, cap)
-        return self._deepest("f", cap, lambda c: _checked_f(self.rule.f, c))
+        return self._deepest("f", cap, lambda c: _checked(self.rule.f, c, 1))
 
     def invertible_op(self, cap: int) -> ArtinOp:
         """The degree-0 operator of the sequence: h, or the identity."""
         cap = max(cap, 0)
         if self.rule.h is None:
             return identity_op(cap)
-        return self._deepest("h", cap, lambda c: _checked_h(self.rule.h, c))
+        return self._deepest("h", cap, lambda c: _checked(self.rule.h, c, 0))
 
     def associated_part(self) -> "GradedSeq":
         """The underlying associated sequence (the harmonic sequence for
@@ -180,17 +177,18 @@ class GradedSeq:
         with p the underlying associated sequence; both sides are exact
         down to floor."""
         z = Fraction(z)
-        lhs = self.member(order, a, floor).shift(z)
         assoc = self.associated_part()
-        rhs: dict[int, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
+        rc = Fraction(1)  # rc(a, b), carried along b by one Roman factor per step
         for b in range(a - floor + 1):
             # <(0)| E^z p_b^{(0)} > is the polynomial p_b evaluated at z
-            pb = assoc.member(OrderTag.ZERO, b, 0)
-            cb = roman_coeff(a, b) * sum(c * z**d for d, c in pb.coeffs.items())
+            cb = rc * sum(c * z**d for d, c in assoc.member(OrderTag.ZERO, b, 0).coeffs.items())
             if cb != 0:
-                for d, c in self.member(order, a - b, floor).coeffs.items():
-                    rhs[d] = rhs.get(d, 0) + cb * c
-        return lhs == LogSeries(order, floor, rhs)
+                coeffs[a - b] = cb
+            rc = rc * roman(a - b) / (b + 1)
+        rhs = self.reconstruct(coeffs, order, floor)
+        # a shallow member would raise the floor of the sum: require the one asked for
+        return rhs.floor == zero_series(order, floor).floor and self.member(order, a, floor).shift(z) == rhs
 
     def check_biorthogonality(self, a: int, b: int) -> bool:
         """<alpha| h(D) f(D)^b s_a > = rf(a) delta_ab, at generic order.
@@ -229,12 +227,17 @@ class GradedSeq:
         return out
 
     def reconstruct(self, coeffs: Mapping[int, Fraction], order: OrderTag, floor: int) -> LogSeries:
-        """sum_a c_a s_a down to the given floor."""
-        out = zero_series(order, floor)
+        """sum_a c_a s_a down to the given floor, or to the floor of the
+        shallowest member where that lies higher."""
+        out: dict[int, Fraction] = {}
+        low = zero_series(order, floor).floor
         # deepest member first, so one h**-1 serves every degree
         for a, c in sorted(coeffs.items(), reverse=True):
-            out = out + self.member(order, a, floor).scale(c)
-        return out
+            s = self.member(order, a, floor)
+            low = max(low, s.floor)
+            for d, v in s.coeffs.items():
+                out[d] = out.get(d, 0) + c * v
+        return LogSeries(order, low, {d: v for d, v in out.items() if d >= low})
 
     def expand_operator(self, h_target: ArtinOp, a_min: int) -> dict[int, Fraction]:
         """Coefficients d_a = <alpha| h_target s_a > / rf(a) of the
@@ -290,13 +293,8 @@ class GradedSeq:
         every coefficient is read from them: one Lagrange inversion, one
         composition and O(K^3) for the products.
         """
-        coeffs = self._genfun_coefficients(K)
-        # deepest member first, so one h**-1 serves every degree
-        for k in range(K, -1, -1):
-            member = self.member(OrderTag.ZERO, k, 0).scale(1 / roman_factorial(k))
-            if coeffs[k] != member:
-                return False
-        return True
+        rows = self._genfun_coefficients(K)
+        return genfun_rows_match(rows, lambda k: self.member(OrderTag.ZERO, k, 0))
 
 
 def exp_genfun_coefficients(
@@ -308,18 +306,16 @@ def exp_genfun_coefficients(
     The x^n part is g(y) u(y)^n / n!; multiplying in one factor of u per
     n costs O(K^3) for all coefficients together.
     """
-    rows = []  # rows[n][k]: coefficient of y^k in g(y) u(y)^n
-    power: Mapping[int, Fraction] = {0: Fraction(1)}
-    for n in range(K + 1):
-        if n:
-            power = convolve(power, u, K)
-        rows.append(convolve(g, power, K))
+    # rows[n][k]: coefficient of y^k in g(y) u(y)^n
+    rows = [convolve(g, power, K) for power in islice(powers(u, K), K + 1)]
     return [
-        LogSeries(
-            OrderTag.ZERO,
-            0,
-            {n: row.get(k, Fraction(0)) / factorial(n) for n, row in enumerate(rows)},
-        )
+        LogSeries(OrderTag.ZERO, 0, {n: row[k] / factorial(n) for n, row in enumerate(rows) if k in row})
         for k in range(K + 1)
     ]
 
+
+def genfun_rows_match(rows: list[LogSeries], member: Callable[[int], LogSeries]) -> bool:
+    """Whether rows[k] == member(k)/k! for every k, the generating-function
+    comparison.  The deepest member is built first, so one h**-1 serves
+    every degree."""
+    return all(rows[k] == member(k).scale(1 / roman_factorial(k)) for k in reversed(range(len(rows))))

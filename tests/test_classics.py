@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from logalg import classics
 from logalg.classics import (
     SeqTable,
     bernoulli_member,
@@ -19,7 +20,7 @@ from logalg.classics import (
     laguerre_sheffer_seq,
     residual_bernoulli,
 )
-from logalg.series import OrderTag, agrees
+from logalg.series import OrderTag, agrees, harmonic
 from oracles import classical_bernoulli, laguerre_by_terms
 
 F = Fraction
@@ -157,6 +158,20 @@ def test_laguerre_generating_function():
         assert laguerre_genfun_check(b, 6)
     with pytest.raises(ValueError):
         laguerre_genfun_check(-1, 4)
+
+
+def test_laguerre_genfun_check_returns_exactly_a_bool(monkeypatch):
+    # a benchmark reads the result with `is True`, so a truthy value would not do
+    assert laguerre_genfun_check(2, 6) is True
+    closed = classics.laguerre_member
+
+    def perturbed(order, a, b, floor):  # one member off by a constant
+        out = closed(order, a, b, floor)
+        return out + harmonic(order, 0, floor).scale(F(1, 1000)) if a == 4 else out
+
+    monkeypatch.setattr(classics, "laguerre_member", perturbed)
+    assert laguerre_genfun_check(2, 6) is False
+    assert laguerre_genfun_check(2, 3) is True
 
 
 def test_laguerre_zero_order_vanishes_below_zero():

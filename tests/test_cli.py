@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from logalg.cli import MAX_DEGREE, MAX_N, MAX_ORDER, MAX_SPAN, main
+from logalg.cli import MAX_DEGREE, MAX_DIGITS, MAX_N, MAX_ORDER, MAX_SPAN, main
 from logalg.series import LogSeries, OrderTag, harmonic
 
 F = Fraction
@@ -200,9 +200,9 @@ BIG_COEFF = '{"order": "generic", "floor": 0, "coeffs": [[0, "1e400"]]}'
         ["expand", "--basis", "hermite", "--sigma", "1/0", "--series", LAM2, "--amin", "-3"],
         ["verify", "em", "--sigma", "1/0"],  # read even where it is not used
         ["table", "hermite", "--sigma", "abc"],
-        ["sum", "stirling", "--x", "1e400", "--n", "2"],  # float(x) overflows
-        ["sum", "harmonic", "--x", "1e-400", "--n", "2"],  # float(x) underflows to 0.0
-        ["sum", "harmonic", "--x", "1e-300", "--n", "2"],  # x**-k overflows
+        ["sum", "stirling", "--x", "1e400", "--n", "2"],  # float(x) would overflow; beyond MAX_DIGITS
+        ["sum", "harmonic", "--x", "1e-400", "--n", "2"],  # float(x) would be 0.0; beyond MAX_DIGITS
+        ["sum", "harmonic", "--x", "1e-300", "--n", "2"],  # beyond MAX_DIGITS
         ["eval", "--series", BIG_COEFF, "--level", "1", "--x", "2"],
         ["eval", "--series", LAM2, "--level", "1", "--x", "1e300"],
     ],
@@ -224,6 +224,9 @@ def test_bad_rational_or_float_range_exit_2(capsys, argv):
         ["sum", "harmonic", "--x", "1e-30", "--n", "2", "--order", "20"],
         ["eval", "--level", "1", "--x", "1e-300", "--series",
          '{"order": "generic", "floor": -3, "coeffs": [[-3, "1"]]}'],
+        # the smallest positive --x within MAX_DIGITS: x**-k overflows at k = 31
+        ["sum", "harmonic", "--x", f"1/{10**MAX_DIGITS - 1}", "--n", "2", "--order", "40"],
+        ["sum", "stirling", "--x", f"1/{10**MAX_DIGITS - 1}", "--n", "2", "--order", "40"],
     ],
 )
 def test_float_overflow_names_the_inputs(capsys, argv):
@@ -266,6 +269,17 @@ def series_json(floor, *degrees):
         (["verify", "genfun", "--seq", "assoc-delta", "--depth", str(MAX_SPAN + 1)], "--depth", MAX_SPAN),
         (["sum", "harmonic", "--x", "10", "--n", str(MAX_N + 1)], "--n", MAX_N),
         (["sum", "stirling", "--x", "10", "--n", "5", "--order", str(MAX_ORDER + 1)], "--order", MAX_ORDER),
+        # one digit too many in a numerator or a denominator
+        (["sum", "harmonic", "--x", "1" * (MAX_DIGITS + 1), "--n", "2"], "--x", MAX_DIGITS),
+        (["sum", "stirling", "--x", f"1e-{MAX_DIGITS}", "--n", "2"], "--x", MAX_DIGITS),
+        (["table", "hermite", "--sigma", f"1/{10**MAX_DIGITS}"], "--sigma", MAX_DIGITS),
+        (["verify", "sheffer", "--seq", "laguerre", f"--grade=-{10**MAX_DIGITS}/3"], "--grade", MAX_DIGITS),
+        (["expand", "--basis", "laguerre", "--amin", "-3", "--series", LAM2, "--grade", f"3/{10**MAX_DIGITS}"],
+         "--grade", MAX_DIGITS),
+        # each printed Python's own 4300-digit text before the digit budget
+        (["table", "hermite", "--sigma", str(10**2200), "--from", "4", "--to", "4", "--depth", "4"],
+         "--sigma", MAX_DIGITS),
+        (["sum", "harmonic", "--x", f"{10**300 + 1}/{10**300}", "--n", "40"], "--x", MAX_DIGITS),
     ],
 )
 def test_out_of_budget_exit_2(capsys, argv, name, maximum):
@@ -284,11 +298,34 @@ def test_out_of_budget_exit_2(capsys, argv, name, maximum):
         ["expand", "--basis", "harmonic", "--amin", str(-MAX_DEGREE),
          "--series", series_json(-MAX_DEGREE, -MAX_DEGREE + MAX_SPAN)],
         ["sum", "stirling", "--x", "10", "--n", str(MAX_N), "--order", str(MAX_ORDER)],
+        ["sum", "harmonic", "--x", f"{10**MAX_DIGITS - 1}/{10**MAX_DIGITS - 3}", "--n", "5"],
+        ["table", "laguerre", f"--grade=-{10**MAX_DIGITS - 1}/{10**MAX_DIGITS - 3}", "--depth", "4"],
+        ["verify", "sheffer", "--seq", "hermite", "--depth", "4", "--sigma", str(10**MAX_DIGITS - 1)],
     ],
 )
 def test_budget_maxima_are_accepted(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code in (0, 1) and out and "error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--basis", "laguerre", "--grade", "9"],
+        ["expand", "--basis", "hermite", "--sigma", str(10**MAX_DIGITS - 1)],
+    ],
+)
+def test_result_beyond_4300_digits_exit_2(capsys, argv):
+    # a JSON coefficient may have 4300 digits; its expansion has more, and
+    # printing it used to fail with Python's own int-to-text message
+    series = json.dumps({"order": "generic", "floor": 0, "coeffs": [[2, "9" * 4300]]})
+    code, out, err = run(capsys, *argv, "--amin", "0", "--series", series)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: a result has more than 4300 digits, too many to print;"
+        " it grows with --sigma, --grade, --series\n"
+    )
 
 
 # -- eval ----------------------------------------------------------------

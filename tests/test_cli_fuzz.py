@@ -1,8 +1,9 @@
 """Hypothesis fuzzing of the CLI's JSON and rational inputs, in process
 through ``cli.main``: every run ends in exit 0, 1 or 2, and no exception
 escapes.  Degrees, depths and counts are small, so that the runs stay
-fast, or just beyond the CLI's input budget, where they must be rejected
-before any work is done."""
+fast, or just beyond the CLI's input budget (rational flags one digit
+past MAX_DIGITS among them), where they must be rejected before any
+work is done."""
 
 import contextlib
 import io
@@ -12,7 +13,7 @@ from fractions import Fraction
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from logalg.cli import MAX_DEGREE, MAX_N, MAX_ORDER, MAX_SPAN, main
+from logalg.cli import MAX_DEGREE, MAX_DIGITS, MAX_N, MAX_ORDER, MAX_SPAN, main
 
 FUZZ = settings(derandomize=True, deadline=None, database=None)
 
@@ -21,7 +22,10 @@ SMALL = st.integers(-6, 6)
 FAR = st.sampled_from([MAX_DEGREE + 1, -MAX_DEGREE - 1, 1e6, -1e6])
 SPECIAL = st.sampled_from(
     ["0", "-0", "1/0", "0/0", "1/-2", "nan", "inf", "-inf", "1e400", "1e-400", "1e-300",
-     "1e4301", "1_0", " 3/4 ", "", "x", "2.5e-3", "-7/3", "٣"]
+     "1e4301", "1_0", " 3/4 ", "", "x", "2.5e-3", "-7/3", "٣",
+     # one digit beyond MAX_DIGITS in a numerator or a denominator
+     "1" * (MAX_DIGITS + 1), f"-{10**MAX_DIGITS}/3", f"1/{10**MAX_DIGITS}", f"1e-{MAX_DIGITS}",
+     f"1e{MAX_DIGITS}"]
 )
 ORDINARY = st.one_of(
     st.fractions(min_value=Fraction(1, 100), max_value=1000, max_denominator=100).map(str),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -12,6 +13,7 @@ from logalg.operators import (
     identity_op,
     monomial_op,
     one_minus_d_pow,
+    powers,
     shift_op,
     weierstrass,
 )
@@ -336,6 +338,24 @@ def test_convolve_edge_cases():
     assert convolve({1: 1, 2: 1}, {3: 1}, 3) == {}
     got = convolve({0: 2}, {0: 3, 1: -4}, 1)
     assert got == {0: 6, 1: -8} and all_fractions(got)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 5])
+def test_powers_are_successive_truncated_products(cap):
+    u = {1: F(1), 2: F(-1, 2), 3: F(1, 3)}  # lead 1: u**n vanishes below n
+    got = list(islice(powers(u, cap), cap + 10))
+    want = [{0: F(1)}]
+    while want[-1]:
+        want.append(convolve_by_fractions(want[-1], u, cap))
+    # u**0 .. u**cap, then the first zero power, and no more
+    assert len(got) == cap + 2 and got == want
+
+
+def test_powers_of_a_unit_never_stop():
+    u = {0: F(1), 1: F(1)}
+    got = list(islice(powers(u, 3), 5))
+    assert got[0] == {0: F(1)} and got[4] == {0: F(1), 1: F(4), 2: F(6), 3: F(4)}
+    assert list(islice(powers({}, 3), 5)) == [{0: F(1)}, {}]
 
 
 @pytest.mark.parametrize("as_int", [False, True])

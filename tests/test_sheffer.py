@@ -92,6 +92,22 @@ def test_associated_of_delta_is_lower_factorial():
         assert got.coeffs == {i: c for i, c in enumerate(coeffs) if c != 0}
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (AppellRule(lambda cap: ArtinOp(cap, {0: F(2)})), "invertible operator must have lead 0"),
+        (AppellRule(lambda cap: ArtinOp(cap, {1: F(1)})), "invertible operator must have lead 0"),
+        (AppellRule(lambda cap: ArtinOp(cap, {})), "invertible operator must have lead 0"),
+        (AssociatedRule(lambda cap: ArtinOp(cap, {1: F(-1)})), "delta operator must have lead 1"),
+        (AssociatedRule(lambda cap: ArtinOp(cap, {0: F(1), 1: F(1)})), "delta operator must have lead 1"),
+        (AssociatedRule(lambda cap: ArtinOp(cap, {2: F(1)})), "delta operator must have lead 1"),
+    ],
+)
+def test_operator_shape_errors_name_the_operator(rule, message):
+    with pytest.raises(ValueError, match=message):
+        GradedSeq(rule).member(G, 1, -2)
+
+
 def test_rejects_unnormalized_operators():
     bad_h = GradedSeq(AppellRule(lambda cap: ArtinOp(cap, {0: F(2)})))
     with pytest.raises(ValueError):
@@ -328,16 +344,17 @@ def test_batched_genfun_coefficients_match_single(seq):
 
 
 class PerturbedSeq(GradedSeq):
-    """A sequence whose order-(0) member of one degree is off by a constant."""
+    """A sequence whose member of one degree, at order (0) unless another
+    order is given, is off by a small multiple of its floor term."""
 
-    def __init__(self, rule, bad):
+    def __init__(self, rule, bad, order=Z):
         super().__init__(rule)
-        self.bad = bad
+        self.bad, self.order = bad, order
 
     def member(self, order, a, floor):
         out = super().member(order, a, floor)
-        if order is Z and a == self.bad:
-            out = out + harmonic(Z, 0, floor).scale(F(1, 1000))
+        if order is self.order and a == self.bad:
+            out = out + harmonic(order, out.floor, out.floor).scale(F(1, 1000))
         return out
 
 
@@ -493,3 +510,29 @@ def test_checks_reject_a_shallow_member(make):
     assert not ShallowSeq(rule, a - 1).check_lowering(G, a, floor)
     assert ShallowSeq(rule, 99).check_binomial_shift(G, a, F(3, 2), floor)
     assert not ShallowSeq(rule, a).check_binomial_shift(G, a, F(3, 2), floor)
+
+
+# -- the checks return bools ---------------------------------------------
+# A benchmark accepts a check's output only when it `is True`, so these
+# return exactly True or False, never a truthy value.
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_checks_return_exactly_true_on_good_input(make):
+    seq = make()
+    assert seq.check_lowering(G, 2, -4) is True
+    assert seq.check_binomial_shift(G, 2, F(3, 2), -4) is True
+    assert seq.check_biorthogonality(2, 2) is True
+    assert seq.check_biorthogonality(3, 1) is True
+    assert seq.genfun_check_order_zero(6) is True
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_checks_return_exactly_false_on_negative_controls(make):
+    rule, a, floor = make().rule, 2, -4
+    assert ShallowSeq(rule, a).check_lowering(G, a, floor) is False
+    assert ShallowSeq(rule, a).check_binomial_shift(G, a, F(3, 2), floor) is False
+    assert ShallowSeq(rule, a - 2).check_binomial_shift(G, a, F(3, 2), floor) is False
+    assert PerturbedSeq(rule, 4).genfun_check_order_zero(6) is False
+    assert PerturbedSeq(rule, 2, G).check_biorthogonality(2, 2) is False
+    assert PerturbedSeq(rule, 3, G).check_biorthogonality(3, 1) is False

@@ -17,7 +17,15 @@ next to this script.  Prints one JSON object:
 * ``large``: the large-cap cases ``bernoulli_j(150) ** -1``,
   ``one_minus_d_pow(-3/2, 120) ** -7``,
   ``forward_difference(40).comp_inverse()`` and the order-(0) genfun
-  checks (assoc-delta and Laguerre 1/3 at K = 30, Bernoulli at K = 60).
+  checks (assoc-delta and Laguerre 1/3 at K = 30, Bernoulli at K = 60);
+* ``layers``: the layers above the kernels, each with its count of
+  Fraction operations (``perfbench/tracing.count_ops``) next to its time:
+  ``bernoulli_j(K).compose(forward_difference(K))`` and
+  ``forward_difference(K).comp_inverse()`` for K = 10, 20, 40, 80,
+  ``exp_genfun_coefficients`` of the Laguerre generating function
+  (grade 2) for K = 10, 20, 40, and ``check_binomial_shift`` (z = 3/2,
+  degree 2) on a fresh Bernoulli and a fresh Laguerre (grade 1/2)
+  sequence at depth 4, 8, 16, 32.
 
 Each entry gives the best wall time of R runs in seconds and the largest
 numerator and denominator bit length among the result's coefficients.
@@ -40,14 +48,23 @@ from logalg.operators import (
     one_minus_d_pow,
 )
 from logalg.series import OrderTag
-from logalg.sheffer import AssociatedRule, GradedSeq
+from logalg.sheffer import AssociatedRule, GradedSeq, exp_genfun_coefficients
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from oracles import shift_by_roman_coeff  # noqa: E402
+from tracing import count_ops  # noqa: E402
 
 KS = (10, 20, 40, 80, 150)
 BINOMIAL_KS = (10, 40, 150)
 SHIFT_DEPTHS = (4, 8, 16, 32, 48)
+OPERATOR_KS = (10, 20, 40, 80)
+GENFUN_KS = (10, 20, 40)
+IDENTITY_DEPTHS = (4, 8, 16, 32)
+IDENTITY_SEQUENCES = {
+    "bernoulli": bernoulli_seq,
+    "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
+}
 
 
 def bits(values) -> dict:
@@ -70,6 +87,27 @@ def timed(fn, repeat: int) -> tuple[float, object]:
 def entry(fn, repeat: int, coeffs=lambda r: r.coeffs.values()) -> dict:
     seconds, result = timed(fn, repeat)
     return {"seconds": seconds, **(bits(coeffs(result)) if coeffs else {})}
+
+
+def counted(fn, repeat: int) -> dict:
+    """Best time of ``fn`` and its Fraction operations, counted in one more call."""
+    return {"seconds": timed(fn, repeat)[0], "fraction_ops": count_ops(fn)}
+
+
+def layers(r: int) -> dict:
+    out: dict[str, dict] = {}
+    for K in OPERATOR_KS:
+        out[f"compose K={K}"] = counted(lambda: bernoulli_j(K).compose(forward_difference(K)), r)
+        out[f"comp_inverse K={K}"] = counted(lambda: forward_difference(K).comp_inverse(), r)
+    for K in GENFUN_KS:
+        g, u = one_minus_d_pow(-3, K).coeffs, {k: Fraction(-1) for k in range(1, K + 1)}
+        out[f"exp_genfun_coefficients K={K}"] = counted(lambda: exp_genfun_coefficients(g, u, K), r)
+    z, G = Fraction(3, 2), OrderTag.GENERIC
+    for depth in IDENTITY_DEPTHS:
+        for name, make in IDENTITY_SEQUENCES.items():
+            check = lambda: make().check_binomial_shift(G, 2, z, 2 - depth)
+            out[f"check_binomial_shift {name} depth={depth}"] = counted(check, r)
+    return out
 
 
 def main() -> None:
@@ -117,7 +155,8 @@ def main() -> None:
             lambda: bernoulli_seq().genfun_check_order_zero(60), r, None
         ),
     }
-    print(json.dumps({"repeat": r, "sweep": sweep, "shift": shift, "large": large}, indent=1))
+    out = {"repeat": r, "sweep": sweep, "shift": shift, "large": large, "layers": layers(r)}
+    print(json.dumps(out, indent=1))
 
 
 if __name__ == "__main__":
