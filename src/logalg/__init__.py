@@ -1,7 +1,7 @@
 """Exact engine for the discrete iterated logarithmic algebra."""
 
 from .roman import roman, roman_coeff, roman_factorial, roman_ratio
-from .series import LogSeries, OrderTag, agrees, harmonic, zero_series
+from .series import LogSeries, OrderTag, harmonic, zero_series
 from .operators import (
     ArtinOp,
     bernoulli_j,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Union
 
 from .operators import bernoulli_j, one_minus_d_pow, weierstrass, ArtinOp
 from .roman import roman_factorial, roman_ratio
@@ -38,8 +37,6 @@ __all__ = [
     "SeqTable",
     "emit_table",
 ]
-
-RatLike = Union[Fraction, int]
 
 HALF = Fraction(1, 2)
 
@@ -75,17 +72,17 @@ def residual_bernoulli(floor: int) -> LogSeries:
 # -- Hermite ----------------------------------------------------------
 
 
-def hermite_seq(sigma: RatLike = HALF) -> GradedSeq:
+def hermite_seq(sigma: Fraction | int = HALF) -> GradedSeq:
     """The logarithmic Hermite sequence H_a = W**-1 lam_a, W = e^{sigma D^2}."""
     sigma = Fraction(sigma)
     return GradedSeq(AppellRule(lambda cap: weierstrass(sigma, cap)))
 
 
-def hermite_member(order: OrderTag, a: int, floor: int, sigma: RatLike = HALF) -> LogSeries:
+def hermite_member(order: OrderTag, a: int, floor: int, sigma: Fraction | int = HALF) -> LogSeries:
     return hermite_seq(sigma).member(order, a, floor)
 
 
-def hermite_closed_form(order: OrderTag, a: int, floor: int, sigma: RatLike = HALF) -> LogSeries:
+def hermite_closed_form(order: OrderTag, a: int, floor: int, sigma: Fraction | int = HALF) -> LogSeries:
     """Direct sum H_a = sum_k (-sigma)^k rf(a)/(k! rf(a-2k)) lam_{a-2k};
     the independent oracle for the operator route."""
     sigma = Fraction(sigma)
@@ -100,7 +97,7 @@ def hermite_closed_form(order: OrderTag, a: int, floor: int, sigma: RatLike = HA
     return out
 
 
-def hermite_number(n: int, sigma: RatLike = HALF) -> Fraction:
+def hermite_number(n: int, sigma: Fraction | int = HALF) -> Fraction:
     """H_n = H_n(0); zero for odd n, (-sigma)^m (2m)!/m! for n = 2m."""
     if n < 0:
         raise ValueError("Hermite numbers are indexed by n >= 0")
@@ -113,7 +110,7 @@ def hermite_number(n: int, sigma: RatLike = HALF) -> Fraction:
 # -- Laguerre ---------------------------------------------------------
 
 
-def laguerre_member(order: OrderTag, a: int, b: RatLike, floor: int) -> LogSeries:
+def laguerre_member(order: OrderTag, a: int, b: Fraction | int, floor: int) -> LogSeries:
     """The Laguerre member of grade b, via the closed form
     (-1)^a (1-D)^{a+b} lam_a = sum_k C(a+b,k) rf(a)/rf(a-k) (-1)^{a-k} lam_{a-k}.
 
@@ -145,7 +142,7 @@ def laguerre_delta(cap: int) -> ArtinOp:
     return ArtinOp(cap, {k: Fraction(1) for k in range(1, cap + 1)})
 
 
-def laguerre_sheffer_seq(b: RatLike) -> GradedSeq:
+def laguerre_sheffer_seq(b: Fraction | int) -> GradedSeq:
     """The Sheffer route to the Laguerre sequence of grade b.
 
     Members of this sequence equal (-1)^a laguerre_member(a): the
@@ -200,8 +197,8 @@ def emit_table(
     depth: int,
     *,
     order: OrderTag = OrderTag.GENERIC,
-    sigma: RatLike = 1,
-    grade: RatLike = 0,
+    sigma: Fraction | int = 1,
+    grade: Fraction | int = 0,
 ) -> SeqTable:
     """Rows a_from..a_to of a named sequence, each exact down to a - depth.
 

@@ -80,11 +80,12 @@ def _series(text: str) -> LogSeries:
 
 def _rational(flag: str, text: str) -> Fraction:
     """A rational flag value, read as a JSON coefficient is read and held
-    to MAX_DIGITS."""
+    to MAX_DIGITS.  An error quotes at most a short prefix of the value."""
     try:
         value = exact_rational(text)
     except ValueError as exc:
-        raise ValueError(f"--{flag} {text!r}: {exc}") from exc
+        shown = repr(text) if len(text) <= 40 else f"{text[:24]!r}... ({len(text)} characters)"
+        raise ValueError(f"--{flag} {shown}: {exc}") from exc
     digits = len(str(max(abs(value.numerator), value.denominator)))
     if digits > MAX_DIGITS:
         raise ValueError(
@@ -149,6 +150,12 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report(label: str, good: bool, detail: str = "") -> bool:
+    """Print one verify line as soon as its result is known; return the result."""
+    print(f"{label}: {'pass' if good else 'FAIL'}{detail}")
+    return good
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError(f"verify {args.what} needs --depth of at least 1, got {args.depth}")
@@ -157,22 +164,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.what == "em":
         for k in range(1, args.depth + 1):
             report = em_operator_residual(k, omit_linear_term=args.corrupt)
-            status = "pass" if report.symbolic_ok else "FAIL"
-            if not report.symbolic_ok:
-                ok = False
-            print(f"em residual K={k}: {status} (residual lead: {report.residual_lead})")
+            ok &= _report(f"em residual K={k}", report.symbolic_ok, f" (residual lead: {report.residual_lead})")
     elif args.what == "sheffer":
         seq = _named_seq(args.seq, args.sigma, args.grade)
         order = OrderTag.GENERIC
         for a in range(-args.depth // 2, args.depth // 2 + 1):
             good = seq.check_lowering(order, a, a - args.depth)
             good &= seq.check_binomial_shift(order, a, 1, a - args.depth)
-            if args.corrupt:
-                good = False
-            status = "pass" if good else "FAIL"
-            if not good:
-                ok = False
-            print(f"sheffer identities ({args.seq}, a={a}): {status}")
+            ok &= _report(f"sheffer identities ({args.seq}, a={a})", good and not args.corrupt)
     elif args.what == "genfun":
         if args.seq == "laguerre":
             if args.grade.denominator != 1:
@@ -183,12 +182,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             seq = _named_seq(args.seq, args.sigma, args.grade)
             good = seq.genfun_check_order_zero(args.depth)
-        if args.corrupt:
-            good = False
-        status = "pass" if good else "FAIL"
-        if not good:
-            ok = False
-        print(f"generating function ({args.seq}, K={args.depth}): {status}")
+        ok = _report(f"generating function ({args.seq}, K={args.depth})", good and not args.corrupt)
     return 0 if ok else 1
 
 

@@ -13,10 +13,8 @@ formula) against exact summation oracles.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from typing import Union
 
 from .classics import bernoulli_member, bernoulli_number
 from .operators import ArtinOp, forward_difference, identity_op
@@ -33,23 +31,11 @@ __all__ = [
     "first_omitted_term_bound",
 ]
 
-RatLike = Union[Fraction, int]
-
 
 class EMReport(Frozen):
     """truncation_order: int, residual_lead: int | None, symbolic_ok: bool."""
 
     __slots__ = ("truncation_order", "residual_lead", "symbolic_ok")
-
-    def to_obj(self) -> dict:
-        return {
-            "truncation_order": self.truncation_order,
-            "residual_lead": self.residual_lead,
-            "symbolic_ok": self.symbolic_ok,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
 
 
 def em_operator_residual(K: int, *, omit_linear_term: bool = False) -> EMReport:
@@ -86,7 +72,7 @@ def lambda_sum_closed_form(
     return direct.truncate(closed.floor), closed
 
 
-def _sum_args(x: RatLike, n: int, order_cutoff: int) -> Fraction:
+def _sum_args(x: Fraction | int, n: int, order_cutoff: int) -> Fraction:
     x = Fraction(x)
     if x <= 0 or n < 0 or order_cutoff < 0:
         raise ValueError(f"need x > 0, n >= 0 and order >= 0, got {x}, {n}, {order_cutoff}")
@@ -109,7 +95,7 @@ def _shift_sum(p: LogSeries, n: int) -> LogSeries:
     return sum((p.shift(j) for j in range(n + 1)), zero_series(p.order, p.floor))
 
 
-def harmonic_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[Fraction, float, float]:
+def harmonic_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[Fraction, float, float]:
     """1/x + ... + 1/(x+n) against its Bernoulli expansion.
 
     The left side is summed in exact rational arithmetic (the oracle);
@@ -128,7 +114,7 @@ def harmonic_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[Fraction, 
     return lhs, rhs, abs(float(lhs) - rhs)
 
 
-def stirling_identity(x: RatLike, n: int, order_cutoff: int) -> tuple[float, float, float]:
+def stirling_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[float, float, float]:
     """log(x (x+1) ... (x+n)) against its Bernoulli expansion.
 
     The left side is a direct floating-point log summation (the oracle).

@@ -38,10 +38,10 @@ reduced by one gcd, not one per term.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
-from typing import Iterator, Mapping, Union
 
 from .roman import roman_factorial
 from .series import Frozen, LogSeries, OrderTag
@@ -59,13 +59,11 @@ __all__ = [
     "powers",
 ]
 
-RatLike = Union[Fraction, int]
-
 
 class ArtinOp(Frozen):
     __slots__ = ("cap", "coeffs")
 
-    def __init__(self, cap: int, coeffs: Mapping[int, RatLike] | None = None) -> None:
+    def __init__(self, cap: int, coeffs: Mapping[int, Fraction | int] | None = None) -> None:
         clean = {e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
         if any(e > cap for e in clean):
             raise ValueError("coefficient above the truncation cap")
@@ -106,7 +104,7 @@ class ArtinOp(Frozen):
     def __sub__(self, other: "ArtinOp") -> "ArtinOp":
         return self + other.scale(-1)
 
-    def scale(self, c: RatLike) -> "ArtinOp":
+    def scale(self, c: Fraction | int) -> "ArtinOp":
         c = Fraction(c)
         return ArtinOp(self.cap, {e: c * v for e, v in self.coeffs.items()})
 
@@ -255,7 +253,7 @@ class ArtinOp(Frozen):
         return sum(terms, Fraction(0))
 
 
-def _lift(m: Mapping[int, RatLike]) -> tuple[int, dict[int, int]]:
+def _lift(m: Mapping[int, Fraction | int]) -> tuple[int, dict[int, int]]:
     """The pair (den, nums) with m[e] == nums[e] / den for every e, den
     the lcm of the denominators of m."""
     den = 1
@@ -268,7 +266,7 @@ def _lift(m: Mapping[int, RatLike]) -> tuple[int, dict[int, int]]:
 
 
 def convolve(
-    a: Mapping[int, RatLike], b: Mapping[int, RatLike], cap: int
+    a: Mapping[int, Fraction | int], b: Mapping[int, Fraction | int], cap: int
 ) -> dict[int, Fraction]:
     """Truncated Cauchy product of two coefficient maps: exponents above
     ``cap`` are dropped, as are zero coefficients.  Each map is lifted
@@ -289,7 +287,7 @@ def convolve(
     return {e: Fraction(v, den) for e, v in out.items() if v}
 
 
-def powers(u: Mapping[int, RatLike], cap: int) -> Iterator[dict[int, Fraction]]:
+def powers(u: Mapping[int, Fraction | int], cap: int) -> Iterator[dict[int, Fraction]]:
     """u**0, u**1, u**2, ... through exponent ``cap`` >= 0, one ``convolve``
     each; stops after the first zero power."""
     power = {0: Fraction(1)}
@@ -303,18 +301,16 @@ def powers(u: Mapping[int, RatLike], cap: int) -> Iterator[dict[int, Fraction]]:
 # -- constructor catalog ---------------------------------------------
 
 
-def identity_op(cap: int = 0) -> ArtinOp:
+def identity_op(cap: int) -> ArtinOp:
     return ArtinOp(cap, {0: Fraction(1)})
 
 
-def monomial_op(exponent: int, cap: int | None = None, c: RatLike = 1) -> ArtinOp:
-    """c * D**exponent."""
-    if cap is None:
-        cap = max(exponent, 0)
-    return ArtinOp(cap, {exponent: Fraction(c)})
+def monomial_op(exponent: int, cap: int) -> ArtinOp:
+    """D**exponent."""
+    return ArtinOp(cap, {exponent: Fraction(1)})
 
 
-def shift_op(z: RatLike, cap: int) -> ArtinOp:
+def shift_op(z: Fraction | int, cap: int) -> ArtinOp:
     """E^z = e^{zD} = sum_k z^k D^k / k!."""
     z = Fraction(z)
     return ArtinOp(cap, {k: z**k / factorial(k) for k in range(cap + 1)})
@@ -331,13 +327,13 @@ def bernoulli_j(cap: int) -> ArtinOp:
     return ArtinOp(cap, {k: Fraction(1, factorial(k + 1)) for k in range(cap + 1)})
 
 
-def weierstrass(sigma: RatLike, cap: int) -> ArtinOp:
+def weierstrass(sigma: Fraction | int, cap: int) -> ArtinOp:
     """The Weierstrass operator e^{sigma D^2} = sum_k sigma^k D^{2k} / k!."""
     sigma = Fraction(sigma)
     return ArtinOp(cap, {2 * k: sigma**k / factorial(k) for k in range(cap // 2 + 1)})
 
 
-def one_minus_d_pow(r: RatLike, cap: int) -> ArtinOp:
+def one_minus_d_pow(r: Fraction | int, cap: int) -> ArtinOp:
     """(1 - D)**r for rational r: the binomial series, whose successive
     coefficients differ by the factor (k - r)/(k + 1)."""
     r = Fraction(r)

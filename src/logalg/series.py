@@ -18,13 +18,13 @@ retained coefficient is provably exact.
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Iterator, Mapping
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
 
-__all__ = ["OrderTag", "LogSeries", "harmonic", "zero_series", "agrees"]
+__all__ = ["OrderTag", "LogSeries", "harmonic", "zero_series"]
 
-RatLike = Union[Fraction, int]
 _TOO_MANY_DIGITS = 10**4300  # the least integer with 4301 digits
 
 
@@ -73,7 +73,7 @@ class Frozen:
 class LogSeries(Frozen):
     __slots__ = ("order", "floor", "coeffs")
 
-    def __init__(self, order: OrderTag, floor: int, coeffs: Mapping[int, RatLike] | None = None) -> None:
+    def __init__(self, order: OrderTag, floor: int, coeffs: Mapping[int, Fraction | int] | None = None) -> None:
         clean = {d: Fraction(c) for d, c in (coeffs or {}).items() if c != 0}
         if order is OrderTag.ZERO:
             floor = max(floor, 0)
@@ -116,7 +116,7 @@ class LogSeries(Frozen):
     def __sub__(self, other: "LogSeries") -> "LogSeries":
         return self + other.scale(-1)
 
-    def scale(self, c: RatLike) -> "LogSeries":
+    def scale(self, c: Fraction | int) -> "LogSeries":
         c = Fraction(c)
         return LogSeries(self.order, self.floor, {d: c * v for d, v in self.coeffs.items()})
 
@@ -143,7 +143,7 @@ class LogSeries(Frozen):
 
         return monomial_op(n, n + max(self.coeffs, default=self.floor) - self.floor).apply(self)
 
-    def shift(self, z: RatLike) -> "LogSeries":
+    def shift(self, z: Fraction | int) -> "LogSeries":
         """Apply the shift E^z = sum_k z^k D^k / k!, known through
         D^(top - floor), so that the floor is preserved.  On the basis,
         E^z lam_a = sum_{k>=0} rc(a,k) z^k lam_{a-k}."""
@@ -191,8 +191,9 @@ class LogSeries(Frozen):
     @classmethod
     def from_json(cls, text: str) -> "LogSeries":
         try:
+            _check_digit_runs(text)  # a JSON integer is parsed by int()
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError is one
             raise ValueError(f"invalid series JSON: {exc}") from exc
         return cls.from_obj(obj)
 
@@ -205,15 +206,27 @@ def exact_int(value) -> int:
     return int(value)
 
 
+def _check_digit_runs(text: str) -> None:
+    """Reject a run of more than 4300 digits, which int() and Fraction()
+    refuse with Python's own text.  Only a text this long can hold one;
+    int() skips the underscores in a run."""
+    for run in re.findall(r"\d[\d_]*", text) if len(text) > 4300 else ():
+        digits = len(run) - run.count("_")
+        if digits > 4300:
+            raise ValueError(f"a run of {digits} digits exceeds the limit of 4300 digits")
+
+
 def exact_rational(value) -> Fraction:
     """A coefficient read from a JSON field: an integer or a rational or
     decimal string.  Floats are rejected: their binary value is inexact.
-    Python's int/str conversion stops at 4300 digits, so an exponent
-    beyond +-4300 is rejected before 10**e is built, and so is a
-    numerator or denominator of more than 4300 digits, as in "1e4300"."""
+    Python's int/str conversion stops at 4300 digits, so a string with a
+    run of more digits is rejected before it is parsed, an exponent
+    beyond +-4300 before 10**e is built, and a numerator or denominator
+    of more than 4300 digits, as in "1e4300", once it is built."""
     if type(value) not in (int, str):
         raise ValueError(f"expected an integer or a rational string, got {value!r}")
     if type(value) is str:
+        _check_digit_runs(value)
         _, e, exponent = value.lower().partition("e")
         if e and abs(int(exponent)) > 4300:
             raise ValueError(f"decimal exponent {exponent} exceeds 4300 in magnitude")
@@ -240,13 +253,3 @@ def harmonic(order: OrderTag, a: int, floor: int) -> LogSeries:
     if floor > a:
         raise ValueError(f"floor {floor} lies above the requested degree {a}")
     return LogSeries(order, floor, {a: Fraction(1)})
-
-
-def agrees(p: LogSeries, q: LogSeries) -> bool:
-    """Exact coefficient agreement on the region where both are exact."""
-    if p.order is not q.order:
-        return False
-    fl = max(p.floor, q.floor)
-    left = {d: c for d, c in p.coeffs.items() if d >= fl}
-    right = {d: c for d, c in q.coeffs.items() if d >= fl}
-    return left == right

@@ -19,10 +19,10 @@ expansion) therefore pair with h, not h**-1.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from itertools import islice
 from math import factorial
-from typing import Callable, Mapping, Union
 
 from .operators import ArtinOp, convolve, identity_op, monomial_op, powers
 from .roman import roman, roman_factorial
@@ -38,9 +38,6 @@ __all__ = [
     "genfun_rows_match",
 ]
 
-OpFactory = Callable[[int], ArtinOp]
-RatLike = Union[Fraction, int]
-
 
 class HarmonicRule(Frozen):
     __slots__ = ()
@@ -48,23 +45,20 @@ class HarmonicRule(Frozen):
 
 
 class AppellRule(Frozen):
-    __slots__ = ("h",)  # h: OpFactory
+    __slots__ = ("h",)  # h: cap -> ArtinOp
     f = None
 
 
 class AssociatedRule(Frozen):
-    __slots__ = ("f",)  # f: OpFactory
+    __slots__ = ("f",)  # f: cap -> ArtinOp
     h = None
 
 
 class ShefferRule(Frozen):
-    __slots__ = ("h", "f")  # both OpFactory
+    __slots__ = ("h", "f")  # both cap -> ArtinOp
 
 
-Rule = Union[HarmonicRule, AppellRule, AssociatedRule, ShefferRule]
-
-
-def _checked(factory: OpFactory, cap: int, lead: int) -> ArtinOp:
+def _checked(factory: Callable[[int], ArtinOp], cap: int, lead: int) -> ArtinOp:
     """factory(cap), which must have lead 0 (h) or 1 (f) and a unit coefficient there."""
     op = factory(cap)
     if op.is_zero() or op.lead != lead or op.coeffs[lead] != 1:
@@ -84,7 +78,7 @@ class GradedSeq:
     fill is harmless.
     """
 
-    def __init__(self, rule: Rule):
+    def __init__(self, rule: HarmonicRule | AppellRule | AssociatedRule | ShefferRule):
         self.rule = rule
         self._cache: dict[tuple[OrderTag, int], LogSeries] = {}
         self._assoc: GradedSeq | None = None
@@ -122,7 +116,7 @@ class GradedSeq:
             raise ValueError(f"member {a} reached floor {out.floor}, not {lam.floor}")
         return out
 
-    def _deepest(self, name: str, cap: int, build: OpFactory) -> ArtinOp:
+    def _deepest(self, name: str, cap: int, build: Callable[[int], ArtinOp]) -> ArtinOp:
         """The operator ``name`` through D^cap, truncated from the deepest
         one built so far."""
         op = self._ops.get(name)
@@ -172,7 +166,7 @@ class GradedSeq:
         rhs = self.member(order, a - 1, floor - 1).scale(roman(a))
         return lhs == rhs
 
-    def check_binomial_shift(self, order: OrderTag, a: int, z: RatLike, floor: int) -> bool:
+    def check_binomial_shift(self, order: OrderTag, a: int, z: Fraction | int, floor: int) -> bool:
         """E^z s_a = sum_{b>=0} rc(a,b) <(0)| E^z p_b^{(0)} > s_{a-b},
         with p the underlying associated sequence; both sides are exact
         down to floor."""

@@ -8,6 +8,23 @@ from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 
 
+def agrees(p: LogSeries, q: LogSeries) -> bool:
+    """Exact coefficient agreement on the region where both are exact."""
+    if p.order is not q.order:
+        return False
+    fl = max(p.floor, q.floor)
+    left = {d: c for d, c in p.coeffs.items() if d >= fl}
+    right = {d: c for d, c in q.coeffs.items() if d >= fl}
+    return left == right
+
+
+def assert_series_sound(small, big):
+    """The shallower result claims no more than the deeper one, and equals
+    it wherever it claims to be exact."""
+    assert small.floor >= big.floor
+    assert small == big.truncate(small.floor)
+
+
 def classical_bernoulli(n):
     """B_0..B_n by the classical recurrence sum_k C(n+1,k) B_k = 0."""
     out = [Fraction(1)]

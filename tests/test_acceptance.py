@@ -35,9 +35,9 @@ from logalg.eulermac import (
 from logalg.numeric import finite_diff_check
 from logalg.operators import ArtinOp, forward_difference, monomial_op
 from logalg.roman import roman, roman_coeff, roman_factorial
-from logalg.series import LogSeries, OrderTag, agrees, harmonic
+from logalg.series import LogSeries, OrderTag, harmonic
 from logalg.sheffer import AssociatedRule, GradedSeq, HarmonicRule
-from oracles import appell_from_constants, classical_bernoulli
+from oracles import agrees, appell_from_constants, classical_bernoulli
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO

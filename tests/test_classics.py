@@ -20,8 +20,8 @@ from logalg.classics import (
     laguerre_sheffer_seq,
     residual_bernoulli,
 )
-from logalg.series import OrderTag, agrees, harmonic
-from oracles import classical_bernoulli, laguerre_by_terms
+from logalg.series import OrderTag, harmonic
+from oracles import agrees, classical_bernoulli, laguerre_by_terms
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO

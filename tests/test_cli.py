@@ -328,6 +328,30 @@ def test_result_beyond_4300_digits_exit_2(capsys, argv):
     )
 
 
+ONES = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum", "harmonic", "--x", ONES, "--n", "2"],
+        ["sum", "harmonic", "--x", f"1e{ONES}", "--n", "2"],
+        ["expand", "--basis", "harmonic", "--amin", "1",
+         "--series", f'{{"order": "generic", "floor": -2, "coeffs": [[1, "{ONES}"]]}}'],
+        ["expand", "--basis", "harmonic", "--amin", "1",
+         "--series", f'{{"order": "generic", "floor": -2, "coeffs": [[1, {ONES}]]}}'],
+    ],
+)
+def test_input_beyond_4300_digits_exit_2(capsys, argv):
+    # each printed Python's own int-to-text message, the first after echoing
+    # the whole 4301-character value
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    assert "4301 digits exceeds the limit of 4300 digits" in err
+
+
 # -- eval ----------------------------------------------------------------
 
 

@@ -1,11 +1,10 @@
-import json
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from logalg import eulermac
+from logalg import classics, eulermac
 from logalg.eulermac import (
     EMReport,
     em_apply,
@@ -15,8 +14,8 @@ from logalg.eulermac import (
     lambda_sum_closed_form,
     stirling_identity,
 )
-from logalg.series import LogSeries, OrderTag, agrees, harmonic
-from oracles import classical_bernoulli, em_apply_by_terms
+from logalg.series import LogSeries, OrderTag, harmonic
+from oracles import agrees, assert_series_sound, classical_bernoulli, em_apply_by_terms
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -71,15 +70,6 @@ def test_em_residual_rejects_negative_order():
         em_operator_residual(-1)
 
 
-def test_em_report_json():
-    obj = json.loads(em_operator_residual(4).to_json())
-    assert obj == {
-        "truncation_order": 4,
-        "residual_lead": None,
-        "symbolic_ok": True,
-    }
-
-
 # -- telescoping lambda-sum ---------------------------------------------
 
 
@@ -101,6 +91,40 @@ def test_lambda_sum_classical_instance():
 def test_lambda_sum_rejects_negative_count():
     with pytest.raises(ValueError):
         lambda_sum_closed_form(G, 1, -1, -4)
+
+
+# -- floor soundness: floor f against f - 25 ------------------------------
+
+
+@pytest.mark.parametrize("order", [G, Z])
+def test_floor_soundness_of_lambda_sum_closed_form(monkeypatch, order):
+    for a, k, floor in [(-2, 1, -4), (1, 3, -1), (3, 2, 1), (4, 1, 2)]:
+        sides = []
+        for f in (floor, floor - 25):
+            # a fresh Bernoulli sequence: neither side reuses the other's member
+            monkeypatch.setattr(classics, "_BERNOULLI", classics.bernoulli_seq())
+            sides.append(lambda_sum_closed_form(order, a, k, f))
+        for small, big in zip(*sides):
+            assert_series_sound(small, big)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_floor_soundness_of_em_apply(monkeypatch, perturbed):
+    # with B_2 perturbed the difference is nonzero, so the two floors
+    # compare real coefficients
+    if perturbed:
+        perturb_b2(monkeypatch)
+    rng = random.Random(1602)
+    nonzero = 0
+    for top, floor, n in [(3, -2, 2), (0, -4, 1), (-2, -5, 3)]:
+        coeffs = {d: F(rng.randint(-5, 5), rng.randint(1, 4)) for d in range(floor - 25, top)}
+        big_p = LogSeries(G, floor - 25, {**coeffs, top: F(1)})
+        p = big_p.truncate(floor)
+        for K in (3, 8):
+            small = em_apply(p, n, K)
+            assert_series_sound(small, em_apply(big_p, n, K))
+            nonzero += not small.is_zero()
+    assert bool(nonzero) == perturbed
 
 
 # -- series-level summation ---------------------------------------------

@@ -21,6 +21,7 @@ from logalg.series import LogSeries, OrderTag, harmonic
 from oracles import (
     antiderivative_by_roman,
     apply_by_roman_ratio,
+    assert_series_sound,
     classical_bernoulli,
     comp_inverse_by_compose,
     convolve_by_fractions,
@@ -483,11 +484,6 @@ def deep_series(rng, order, floor, top):
     coeffs = {d: F(rng.randint(1, 5) * rng.choice([-1, 1]), rng.randint(1, 4)) for d in range(deep_floor, top + 1)}
     big = LogSeries(order, deep_floor, coeffs)
     return big.truncate(floor), big
-
-
-def assert_series_sound(small, big):
-    assert small.floor >= big.floor
-    assert small == big.truncate(small.floor)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logalg.series import LogSeries, OrderTag, agrees, harmonic, zero_series
-from oracles import shift_by_roman_coeff
+from logalg.series import LogSeries, OrderTag, harmonic, zero_series
+from oracles import agrees, shift_by_roman_coeff
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -237,3 +237,10 @@ def test_json_roundtrip():
     assert LogSeries.from_json(p.to_json()) == p
     obj = p.to_obj()
     assert obj["coeffs"] == [[1, "1"], [-3, "-1/360"]]  # descending degree
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "1/" + "1" * 4301, "1e" + "1" * 4301, "1_" * 4300 + "1"])
+def test_from_obj_rejects_a_run_beyond_4300_digits(text):
+    # before the check, int() and Fraction() failed with Python's own text
+    with pytest.raises(ValueError, match="4301 digits exceeds the limit of 4300 digits"):
+        LogSeries.from_obj({"order": "generic", "floor": 0, "coeffs": [[1, text]]})

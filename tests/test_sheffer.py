@@ -12,7 +12,7 @@ from logalg.operators import (
     monomial_op,
     shift_op,
 )
-from logalg.series import LogSeries, OrderTag, agrees, harmonic
+from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 from logalg.sheffer import (
     AppellRule,
     AssociatedRule,
@@ -20,7 +20,7 @@ from logalg.sheffer import (
     HarmonicRule,
     ShefferRule,
 )
-from oracles import appell_from_constants, classical_bernoulli
+from oracles import agrees, appell_from_constants, assert_series_sound, classical_bernoulli
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -536,3 +536,42 @@ def test_checks_return_exactly_false_on_negative_controls(make):
     assert PerturbedSeq(rule, 4).genfun_check_order_zero(6) is False
     assert PerturbedSeq(rule, 2, G).check_biorthogonality(2, 2) is False
     assert PerturbedSeq(rule, 3, G).check_biorthogonality(3, 1) is False
+
+
+# -- floor soundness above the operator layer: floor f against f - 25 -----
+# Each side is computed on a fresh sequence, so that neither is a
+# truncation of a member the other one cached.
+
+
+def random_coeffs(rng, degrees):
+    return {d: F(rng.randint(1, 5) * rng.choice([-1, 1]), rng.randint(1, 4)) for d in degrees}
+
+
+@pytest.mark.parametrize("order", [G, Z])
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_floor_soundness_of_member(make, order):
+    for a, floor in [(-2, -2), (1, -2), (4, 2), (6, 1)]:
+        assert_series_sound(make().member(order, a, floor), make().member(order, a, floor - 25))
+
+
+@pytest.mark.parametrize("order", [G, Z])
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_floor_soundness_of_reconstruct(make, order):
+    rng = random.Random(1600)
+    for floor in (-3, 2):
+        coeffs = random_coeffs(rng, range(floor, floor + 5))
+        small = make().reconstruct(coeffs, order, floor)
+        assert_series_sound(small, make().reconstruct(coeffs, order, floor - 25))
+
+
+@pytest.mark.parametrize("order", [G, Z])
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_floor_soundness_of_taylor_coeffs(make, order):
+    # the expansion is triangular: terms below a_min, known at a deeper
+    # floor, must not change any coefficient from a_min up
+    rng = random.Random(1601)
+    a_min = -2 if order is G else 2
+    p = LogSeries(order, a_min, random_coeffs(rng, range(a_min, a_min + 5)))
+    deep_floor = zero_series(order, a_min - 25).floor
+    deep = LogSeries(order, deep_floor, {**random_coeffs(rng, range(deep_floor, a_min)), **p.coeffs})
+    assert make().taylor_coeffs(p, a_min) == make().taylor_coeffs(deep, a_min)

@@ -1,6 +1,8 @@
 """The runtime is stdlib-only: every module ``logalg`` imports is in the
 standard library or is ``logalg`` itself (no gmpy2, no numpy).  Importing
-it also leaves out ``dataclasses`` and the ``inspect`` that it loads."""
+it also leaves out ``dataclasses`` and the ``inspect`` that it loads, and no
+module imports ``typing``: every module postpones its annotations, so the
+import would cost start-up time and serve nothing at run time."""
 
 import ast
 import os
@@ -30,6 +32,13 @@ def test_sources_found():
 def test_imports_are_stdlib_or_logalg(path):
     foreign = {m for m in imported_top_levels(path) if m != "logalg" and m not in sys.stdlib_module_names}
     assert foreign == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_runtime_typing(path):
+    # read the source: site may already have imported typing (a .pth file
+    # of an installed package can), so sys.modules would not show it
+    assert "typing" not in set(imported_top_levels(path))
 
 
 def test_import_leaves_out_inspect():
