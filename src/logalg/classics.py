@@ -17,8 +17,8 @@ import json
 from fractions import Fraction
 
 from .operators import bernoulli_j, one_minus_d_pow, weierstrass, ArtinOp
-from .roman import roman_factorial, roman_ratio
-from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
+from .roman import roman, roman_factorial
+from .series import Frozen, LogSeries, OrderTag, harmonic
 from .sheffer import AppellRule, GradedSeq, ShefferRule, exp_genfun_coefficients, genfun_rows_match
 
 __all__ = [
@@ -83,18 +83,16 @@ def hermite_member(order: OrderTag, a: int, floor: int, sigma: Fraction | int = 
 
 
 def hermite_closed_form(order: OrderTag, a: int, floor: int, sigma: Fraction | int = HALF) -> LogSeries:
-    """Direct sum H_a = sum_k (-sigma)^k rf(a)/(k! rf(a-2k)) lam_{a-2k};
-    the independent oracle for the operator route."""
+    """Direct sum H_a = sum_k (-sigma)^k rf(a)/(k! rf(a-2k)) lam_{a-2k}, term ratio
+    -sigma roman(a-2k) roman(a-2k-1)/(k+1); the independent oracle for the operator route."""
     sigma = Fraction(sigma)
-    out = zero_series(order, floor)
-    coef = Fraction(1)
-    k = 0
-    while a - 2 * k >= floor:
-        term = harmonic(order, a - 2 * k, floor)
-        out = out + term.scale(coef * roman_ratio(a, a - 2 * k))
-        k += 1
-        coef *= -sigma / k
-    return out
+    low = floor if order is OrderTag.GENERIC else max(floor, 0)
+    out: dict[int, Fraction] = {}
+    c = Fraction(1)
+    for k in range((a - low) // 2 + 1):
+        out[a - 2 * k] = c
+        c = -sigma * roman(a - 2 * k) * roman(a - 2 * k - 1) * c / (k + 1)
+    return LogSeries(order, floor, out)
 
 
 def hermite_number(n: int, sigma: Fraction | int = HALF) -> Fraction:
@@ -119,8 +117,6 @@ def laguerre_member(order: OrderTag, a: int, b: Fraction | int, floor: int) -> L
     rf(n) = roman(n) rf(n-1); once a+b-k hits zero every later term vanishes.
     """
     b = Fraction(b)
-    if order is OrderTag.ZERO and a < 0:
-        return zero_series(order, floor)
     low = floor if order is OrderTag.GENERIC else max(floor, 0)
     out: dict[int, Fraction] = {}
     c = Fraction((-1) ** (a % 2))

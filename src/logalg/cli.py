@@ -120,6 +120,8 @@ def _named_seq(name: str, sigma: Fraction, grade: Fraction) -> GradedSeq:
         return laguerre_sheffer_seq(grade)
     if name == "harmonic":
         return GradedSeq(HarmonicRule())
+    if name == "assoc-delta":
+        return GradedSeq(AssociatedRule(forward_difference))
     raise ValueError(f"unknown sequence {name!r}")
 
 
@@ -177,8 +179,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if args.grade.denominator != 1:
                 raise ValueError(f"the generating-function check needs an integer grade, got {args.grade}")
             good = laguerre_genfun_check(int(args.grade), args.depth)
-        elif args.seq == "assoc-delta":
-            good = GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(args.depth)
         else:
             seq = _named_seq(args.seq, args.sigma, args.grade)
             good = seq.genfun_check_order_zero(args.depth)

@@ -228,7 +228,11 @@ def exact_rational(value) -> Fraction:
     if type(value) is str:
         _check_digit_runs(value)
         _, e, exponent = value.lower().partition("e")
-        if e and abs(int(exponent)) > 4300:
+        try:
+            big = bool(e) and abs(int(exponent)) > 4300
+        except ValueError:  # not an integer exponent: Fraction names the string
+            big = False
+        if big:
             raise ValueError(f"decimal exponent {exponent} exceeds 4300 in magnitude")
     try:
         out = Fraction(value)

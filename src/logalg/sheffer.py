@@ -8,6 +8,10 @@ class holds None for an absent h or f, whose factor is then left out:
 ``HarmonicRule`` (neither), ``AppellRule(h)``, ``AssociatedRule(f)``
 (the transfer formula) and ``ShefferRule(h, f)``.
 
+Members are cached per degree, as generic members.  Order (0) is
+generic order with lam_d = 0 for d < 0, so its member is the generic
+one read from degree 0 up.
+
 Operator parameters are supplied as factories cap -> ArtinOp; every cap
 is derived from the floor it must reach, the product-cap rule of
 ``operators`` read backwards, and a member that misses its floor raises.
@@ -70,7 +74,7 @@ def _checked(factory: Callable[[int], ArtinOp], cap: int, lead: int) -> ArtinOp:
 class GradedSeq:
     """Lazily indexed family a -> LogSeries defined by a generator rule.
 
-    Members are cached per (order, a) at the deepest floor computed so
+    Members are cached per degree, generic and at the deepest floor so
     far.  The operators h, f and h**-1 are each kept at the deepest cap
     asked so far and handed out as truncations, so one reciprocal serves
     every member that needs no deeper one, and memory stays linear in the
@@ -80,7 +84,7 @@ class GradedSeq:
 
     def __init__(self, rule: HarmonicRule | AppellRule | AssociatedRule | ShefferRule):
         self.rule = rule
-        self._cache: dict[tuple[OrderTag, int], LogSeries] = {}
+        self._cache: dict[int, LogSeries] = {}
         self._assoc: GradedSeq | None = None
         self._ops: dict[str, ArtinOp] = {}
 
@@ -89,22 +93,21 @@ class GradedSeq:
     def member(self, order: OrderTag, a: int, floor: int) -> LogSeries:
         if floor > a:
             raise ValueError(f"floor {floor} lies above the member degree {a}")
-        key = (order, a)
-        cached = self._cache.get(key)
-        # at order (0) a floor below 0 reads as 0, the floor the cache holds
-        if cached is None or cached.floor > zero_series(order, floor).floor:
-            cached = self._build(order, a, floor)
-            self._cache[key] = cached
-        return cached.truncate(floor)
+        # order (0) is generic order with lam_d = 0 for d < 0: read from degree 0 up
+        low = floor if order is OrderTag.GENERIC else max(floor, 0)
+        if low > a:
+            return LogSeries(order, low)
+        cached = self._cache.get(a)
+        if cached is None or cached.floor > low:
+            cached = self._cache[a] = self._build(a, low)
+        return LogSeries(order, low, {d: c for d, c in cached.coeffs.items() if d >= low})
 
-    def _build(self, order: OrderTag, a: int, floor: int) -> LogSeries:
-        """s_a = h(D)**-1 f'(D) (f(D)/D)**-(a+1) lam_a, without the factors
-        the rule lacks.  Both operators have lead 0, so through D^(a-floor)
-        they keep lam_a's floor; f is built one degree deeper, as f/D and
-        f' each lose one.  A member short of that floor raises ValueError."""
-        out = lam = harmonic(order, a, floor)
-        if lam.is_zero():
-            return lam
+    def _build(self, a: int, floor: int) -> LogSeries:
+        """s_a = h(D)**-1 f'(D) (f(D)/D)**-(a+1) lam_a at generic order, without
+        the factors the rule lacks.  Both operators have lead 0, so through
+        D^(a-floor) they keep lam_a's floor; f is built one degree deeper, as
+        f/D and f' each lose one.  A member short of that floor raises ValueError."""
+        out = lam = harmonic(OrderTag.GENERIC, a, floor)
         cap = a - floor
         if self.rule.f is not None:
             f = self.delta_op(cap + 1)
@@ -224,7 +227,7 @@ class GradedSeq:
         """sum_a c_a s_a down to the given floor, or to the floor of the
         shallowest member where that lies higher."""
         out: dict[int, Fraction] = {}
-        low = zero_series(order, floor).floor
+        low = floor
         # deepest member first, so one h**-1 serves every degree
         for a, c in sorted(coeffs.items(), reverse=True):
             s = self.member(order, a, floor)

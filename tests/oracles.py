@@ -214,6 +214,21 @@ def laguerre_by_terms(order, a, b, floor):
     return out
 
 
+def hermite_by_series_sum(order, a, floor, sigma):
+    """Direct sum H_a = sum_k (-sigma)^k rf(a)/(k! rf(a-2k)) lam_{a-2k},
+    one one-term series per k."""
+    sigma = Fraction(sigma)
+    out = zero_series(order, floor)
+    coef = Fraction(1)
+    k = 0
+    while a - 2 * k >= floor:
+        term = harmonic(order, a - 2 * k, floor)
+        out = out + term.scale(coef * roman_ratio(a, a - 2 * k))
+        k += 1
+        coef *= -sigma / k
+    return out
+
+
 def appell_from_constants(constants, order, a, floor):
     """Build an Appell member from its sequence of numbers
     c_b = <(0)| p_b^{(0)} >:  p_a = sum_b rc(a,b) c_b lam_{a-b}."""

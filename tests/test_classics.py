@@ -21,7 +21,7 @@ from logalg.classics import (
     residual_bernoulli,
 )
 from logalg.series import OrderTag, harmonic
-from oracles import agrees, classical_bernoulli, laguerre_by_terms
+from oracles import agrees, classical_bernoulli, hermite_by_series_sum, laguerre_by_terms
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -86,6 +86,17 @@ def test_hermite_closed_form_matches_operator_route():
     for sigma in (F(1, 2), F(1), F(3)):
         for a in range(-4, 5):
             assert hermite_member(G, a, a - 8, sigma) == hermite_closed_form(G, a, a - 8, sigma)
+
+
+@pytest.mark.parametrize("order", [G, Z])
+def test_hermite_closed_form_matches_series_sum_and_member(order):
+    for sigma in (F(1, 2), F(1), F(3), F(-2, 5)):
+        seq = hermite_seq(sigma)
+        for a in range(-6, 9):
+            for d in (0, 1, 9, 32):
+                got = hermite_closed_form(order, a, a - d, sigma)
+                assert got == hermite_by_series_sum(order, a, a - d, sigma)
+                assert got == seq.member(order, a, a - d)
 
 
 def test_hermite_sigma_scaling():

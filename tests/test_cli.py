@@ -125,11 +125,17 @@ def test_verify_em_corrupt_fails(capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("seq", ["bernoulli", "hermite", "laguerre", "harmonic"])
+@pytest.mark.parametrize("seq", ["bernoulli", "hermite", "laguerre", "harmonic", "assoc-delta"])
 def test_verify_sheffer_sequences(capsys, seq):
     code, out, _ = run(capsys, "verify", "sheffer", "--seq", seq, "--depth", "6")
     assert code == 0
-    assert "FAIL" not in out
+    assert out.splitlines() == [f"sheffer identities ({seq}, a={a}): pass" for a in range(-3, 4)]
+
+
+def test_verify_sheffer_corrupt_exit_1(capsys):
+    code, out, _ = run(capsys, "verify", "sheffer", "--seq", "assoc-delta", "--depth", "4", "--corrupt")
+    assert code == 1
+    assert out.count("FAIL") == 5
 
 
 @pytest.mark.parametrize("seq", ["bernoulli", "laguerre", "assoc-delta", "harmonic"])
@@ -205,6 +211,10 @@ BIG_COEFF = '{"order": "generic", "floor": 0, "coeffs": [[0, "1e400"]]}'
         ["sum", "harmonic", "--x", "1e-300", "--n", "2"],  # beyond MAX_DIGITS
         ["eval", "--series", BIG_COEFF, "--level", "1", "--x", "2"],
         ["eval", "--series", LAM2, "--level", "1", "--x", "1e300"],
+        # a malformed exponent is Fraction's to name, not int()'s
+        ["sum", "harmonic", "--x", "1e", "--n", "2"],
+        ["sum", "harmonic", "--x", "1e5e3", "--n", "2"],
+        ["sum", "harmonic", "--x", "2e+", "--n", "2"],
     ],
 )
 def test_bad_rational_or_float_range_exit_2(capsys, argv):
@@ -213,6 +223,7 @@ def test_bad_rational_or_float_range_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+    assert "int()" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -621,6 +621,9 @@ def test_dj_equals_forward_difference():
         {"order": "generic", "floor": 1, "coeffs": [[1, "2.5E-4301"]]},
         {"order": "generic", "floor": 1, "coeffs": [[1, "1e4300"]]},
         {"order": "generic", "floor": 1, "coeffs": [[1, "123e4298"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "1e"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "1e5e3"]]},
+        {"order": "generic", "floor": 1, "coeffs": [[1, "2e+"]]},
     ],
 )
 def test_from_obj_rejects_malformed(obj):

@@ -135,9 +135,9 @@ def test_order_zero_member_below_floor_zero_is_built_once(monkeypatch):
     builds = []
     original = GradedSeq._build
 
-    def counting(self, order, a, floor):
-        builds.append((order, a, floor))
-        return original(self, order, a, floor)
+    def counting(self, a, floor):
+        builds.append((a, floor))
+        return original(self, a, floor)
 
     monkeypatch.setattr(GradedSeq, "_build", counting)
     seq = bernoulli_seq()
@@ -145,6 +145,12 @@ def test_order_zero_member_below_floor_zero_is_built_once(monkeypatch):
     assert len(builds) == 1
     assert all(m == seq.member(Z, 3, 0) for m in got)
     assert len(builds) == 1
+    # and the generic member of that degree serves order (0) too
+    builds.clear()
+    seq = bernoulli_seq()
+    generic = seq.member(G, 3, 0)
+    assert seq.member(Z, 3, -2) == LogSeries(Z, 0, generic.coeffs)
+    assert builds == [(3, 0)]
 
 
 # -- characterization checks -------------------------------------------
@@ -375,13 +381,12 @@ def test_binomial_shift_builds_each_associated_member_once(monkeypatch):
     builds = []
     original = GradedSeq._build
 
-    def counting(self, order, a, floor):
-        if isinstance(self.rule, AssociatedRule) and order is Z:
-            builds.append((self.rule, a))
-        return original(self, order, a, floor)
+    def counting(self, a, floor):
+        builds.append((self.rule, a, floor))
+        return original(self, a, floor)
 
     monkeypatch.setattr(GradedSeq, "_build", counting)
-    for seq in (laguerre_sheffer_seq(F(1, 2)), GradedSeq(AssociatedRule(forward_difference))):
+    for seq in (laguerre_sheffer_seq(F(1, 2)), GradedSeq(AssociatedRule(forward_difference)), bernoulli_seq()):
         builds.clear()
         for a in range(-3, 4):
             for z in (1, F(-1, 2)):
@@ -575,3 +580,15 @@ def test_floor_soundness_of_taylor_coeffs(make, order):
     deep_floor = zero_series(order, a_min - 25).floor
     deep = LogSeries(order, deep_floor, {**random_coeffs(rng, range(deep_floor, a_min)), **p.coeffs})
     assert make().taylor_coeffs(p, a_min) == make().taylor_coeffs(deep, a_min)
+
+
+@pytest.mark.parametrize("make", SEQUENCE_MAKERS)
+def test_order_zero_member_is_the_generic_one_from_degree_0(make):
+    # lam_d = 0 for d < 0 is all that tells order (0) from generic order;
+    # each side is read from its own fresh sequence
+    zero, generic = make(), make()
+    for a in range(-4, 7):
+        for floor in (a, a - 1, a - 5, -9):
+            low = max(floor, 0)
+            want = LogSeries(Z, low, generic.member(G, a, low).coeffs) if a >= 0 else zero_series(Z, 0)
+            assert zero.member(Z, a, floor) == want

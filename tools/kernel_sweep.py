@@ -25,7 +25,11 @@ next to this script.  Prints one JSON object:
   ``exp_genfun_coefficients`` of the Laguerre generating function
   (grade 2) for K = 10, 20, 40, and ``check_binomial_shift`` (z = 3/2,
   degree 2) on a fresh Bernoulli and a fresh Laguerre (grade 1/2)
-  sequence at depth 4, 8, 16, 32.
+  sequence at depth 4, 8, 16, 32;
+* ``closed_forms``: the member reads, each with its count of Fraction
+  operations: ``hermite_closed_form`` (sigma = 1/2, degree 4) at both
+  orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
+  sequence, at depth 8, 16, 32, 64.
 
 Each entry gives the best wall time of R runs in seconds and the largest
 numerator and denominator bit length among the result's coefficients.
@@ -40,7 +44,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from logalg.classics import bernoulli_member, bernoulli_seq, laguerre_member, laguerre_sheffer_seq
+from logalg.classics import (
+    bernoulli_member,
+    bernoulli_seq,
+    hermite_closed_form,
+    laguerre_member,
+    laguerre_sheffer_seq,
+)
 from logalg.operators import (
     bernoulli_j,
     convolve,
@@ -61,6 +71,7 @@ SHIFT_DEPTHS = (4, 8, 16, 32, 48)
 OPERATOR_KS = (10, 20, 40, 80)
 GENFUN_KS = (10, 20, 40)
 IDENTITY_DEPTHS = (4, 8, 16, 32)
+CLOSED_FORM_DEPTHS = (8, 16, 32, 64)
 IDENTITY_SEQUENCES = {
     "bernoulli": bernoulli_seq,
     "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
@@ -110,6 +121,17 @@ def layers(r: int) -> dict:
     return out
 
 
+def closed_forms(r: int) -> dict:
+    out: dict[str, dict] = {}
+    for depth in CLOSED_FORM_DEPTHS:
+        for order in OrderTag:
+            form = lambda: hermite_closed_form(order, 4, 4 - depth, Fraction(1, 2))
+            out[f"hermite_closed_form {order.value} depth={depth}"] = counted(form, r)
+        read = lambda: bernoulli_seq().member(OrderTag.ZERO, 4, 4 - depth)
+        out[f"bernoulli member zero depth={depth}"] = counted(read, r)
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
@@ -155,7 +177,14 @@ def main() -> None:
             lambda: bernoulli_seq().genfun_check_order_zero(60), r, None
         ),
     }
-    out = {"repeat": r, "sweep": sweep, "shift": shift, "large": large, "layers": layers(r)}
+    out = {
+        "repeat": r,
+        "sweep": sweep,
+        "shift": shift,
+        "large": large,
+        "layers": layers(r),
+        "closed_forms": closed_forms(r),
+    }
     print(json.dumps(out, indent=1))
 
 
