@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -206,6 +207,11 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         print(f"lhs = {lhs:.15g}")
     print(f"series rhs = {rhs:.15g}")
     print(f"abs err = {err:.6g} (first omitted term bound: {bound:.6g})")
+    if bound >= abs(lhs):  # then a right side of 0 would pass too
+        note = f"note: the bound is at least |lhs| = {abs(float(lhs)):.6g}; the verdict says nothing"
+        print(note, file=sys.stderr)
+    if harmonic:  # log X - log x, the largest float terms, each round by up to an ulp
+        bound += 4 * sys.float_info.epsilon * (abs(math.log(float(x + args.n + 1))) + abs(math.log(xf)))
     return 0 if err <= bound else 1
 
 

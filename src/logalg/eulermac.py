@@ -4,7 +4,7 @@ The identity I = B_0 J + B_1 Delta + sum_{k>=2} (B_k/k!) Delta D^{k-1}
 is exact in the operator ring (not merely asymptotic): it is I = Delta W
 for the weight operator W = sum_{k>=0} (B_k/k!) D^{k-1} = D**-1 J**-1,
 so sum_{j<=n} E^j = (E^{n+1} - I) W (Loeb & Rota, Adv. Math. 75, 1989).
-This module builds W from the Bernoulli numbers, checks the identity at
+This module reads W off one reciprocal of J, checks the identity at
 any truncation order with one operator product or one action on a
 series, evaluates the telescoping lambda-sum closed form, and runs the
 two classical numeric instances (harmonic numbers and Stirling's
@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .classics import bernoulli_member, bernoulli_number
-from .operators import ArtinOp, forward_difference, identity_op
+from .classics import bernoulli_member
+from .numeric import eval_lambda
+from .operators import ArtinOp, bernoulli_j, forward_difference, identity_op
 from .roman import roman
 from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 
@@ -79,14 +80,11 @@ def _sum_args(x: Fraction | int, n: int, order_cutoff: int) -> Fraction:
     return x
 
 
-def _bernoulli_weights(cutoff: int) -> list[Fraction]:
-    return [bernoulli_number(j) / math.factorial(j) for j in range(cutoff + 1)]
-
-
 def _weight_op(K: int, omit_linear_term: bool = False) -> ArtinOp:
-    """W_K = sum_{k=0..K} (B_k/k!) D^{k-1}, known through D^(K-1); the
-    B_1 term, D^0, is left out on request."""
-    weights = enumerate(_bernoulli_weights(K))
+    """W_K = D**-1 J**-1 = sum_{k=0..K} (B_k/k!) D^{k-1}, known through
+    D^(K-1): one reciprocal of J, shifted down one degree; the B_1 term,
+    D^0, is left out on request."""
+    weights = bernoulli_j(K).recip().coeffs.items()
     return ArtinOp(K - 1, {k - 1: w for k, w in weights if k != 1 or not omit_linear_term})
 
 
@@ -106,11 +104,11 @@ def harmonic_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[Fra
     lhs = sum((1 / (x + j) for j in range(n + 1)), Fraction(0))
     xf, Xf = float(x), float(x + n + 1)
     rhs = math.log(Xf) - math.log(xf)  # B_0 term: the integral of 1/t
-    weights = _bernoulli_weights(order_cutoff)
+    w = _weight_op(order_cutoff)
     for j in range(1, order_cutoff + 1):
         # (d/dt)^{j-1} (1/t) = (-1)^{j-1} (j-1)! t^-j
         deriv = (-1.0) ** (j - 1) * math.factorial(j - 1)
-        rhs += float(weights[j]) * deriv * (Xf**-j - xf**-j)
+        rhs += float(w.coeff(j - 1)) * deriv * (Xf**-j - xf**-j)
     return lhs, rhs, abs(float(lhs) - rhs)
 
 
@@ -124,31 +122,27 @@ def stirling_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[flo
     xf, Xf = float(x), float(x + n + 1)
     lhs = sum(math.log(float(x + j)) for j in range(n + 1))
     rhs = Xf * math.log(Xf) - xf * math.log(xf) - (n + 1)  # B_0: integral of log t
-    weights = _bernoulli_weights(order_cutoff)
+    w = _weight_op(order_cutoff)
     if order_cutoff >= 1:
-        rhs += float(weights[1]) * (math.log(Xf) - math.log(xf))
+        rhs += float(w.coeff(0)) * (math.log(Xf) - math.log(xf))
     for j in range(2, order_cutoff + 1):
         # (d/dt)^{j-1} log t = (-1)^j (j-2)! t^{-(j-1)}
         deriv = (-1.0) ** j * math.factorial(j - 2)
-        rhs += float(weights[j]) * deriv * (Xf ** -(j - 1) - xf ** -(j - 1))
+        rhs += float(w.coeff(j - 1)) * deriv * (Xf ** -(j - 1) - xf ** -(j - 1))
     return lhs, rhs, abs(lhs - rhs)
 
 
 def first_omitted_term_bound(x: float, n: int, order_cutoff: int, *, log_case: bool = False) -> float:
-    """Size of the first Bernoulli term beyond the cutoff, times a safety
-    factor of 10; the run-time acceptance threshold for the numeric checks."""
-    k = order_cutoff + 1
-    while bernoulli_number(k) == 0:
-        k += 1
-    w = abs(float(bernoulli_number(k))) / math.factorial(k)
-    X = x + n + 1
-    if log_case:
-        deriv = math.factorial(k - 2)
-        scale = x ** -(k - 1) + X ** -(k - 1)
-    else:
-        deriv = math.factorial(k - 1)
-        scale = x**-k + X**-k
-    return 10.0 * w * deriv * scale
+    """Ten times the first omitted term, at x plus at X = x + n + 1: the
+    run-time acceptance threshold for the numeric checks.  That term is
+    c_d lam_d, the first nonzero coefficient of W_(K+2) lam_a beyond the
+    cutoff K (d <= a - K; B_(K+1) or B_(K+2) is nonzero), with a = -1 for
+    1/t and a = 0 for log t (``log_case``), read at iterated-log level 1."""
+    a = 0 if log_case else -1
+    tail = _weight_op(order_cutoff + 2).apply(harmonic(OrderTag.GENERIC, a, a - order_cutoff - 2))
+    d = max(e for e in tail.coeffs if e <= a - order_cutoff)
+    lam = abs(eval_lambda(1, d, x)) + abs(eval_lambda(1, d, x + n + 1))
+    return 10.0 * abs(float(tail.coeffs[d])) * lam
 
 
 def em_apply(p: LogSeries, n: int, K: int) -> LogSeries:

@@ -42,6 +42,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd, lcm
+from types import MappingProxyType
 
 from .roman import roman_factorial
 from .series import Frozen, LogSeries, OrderTag
@@ -67,7 +68,7 @@ class ArtinOp(Frozen):
         clean = {e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
         if any(e > cap for e in clean):
             raise ValueError("coefficient above the truncation cap")
-        super().__init__(cap, clean)
+        super().__init__(cap, MappingProxyType(clean))
 
     # -- queries ------------------------------------------------------
 

@@ -22,6 +22,7 @@ import re
 from collections.abc import Iterator, Mapping
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 
 __all__ = ["OrderTag", "LogSeries", "harmonic", "zero_series"]
 
@@ -36,9 +37,12 @@ class OrderTag(Enum):
 class Frozen:
     """An immutable value: its fields are the names in ``__slots__``, set
     once by ``__init__`` and then compared, hashed and printed by value,
-    as a frozen dataclass's are.  The ``dataclasses`` module is not used
-    because it imports ``inspect``: about 0.9 MB of resident memory in
-    every process that imports logalg."""
+    as a frozen dataclass's are.  A coefficient map is stored read-only,
+    as a ``MappingProxyType``: it hashes as the frozenset of its items and
+    prints as a dict.  A value with a list or dict field, as ``SeqTable``,
+    is compared and printed but not hashable.  The ``dataclasses`` module
+    is not used because it imports ``inspect``: about 0.9 MB of resident
+    memory in every process that imports logalg."""
 
     __slots__ = ()
 
@@ -63,10 +67,12 @@ class Frozen:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        values = (frozenset(v.items()) if type(v) is MappingProxyType else v for v in self._values())
+        return hash(tuple(values))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = (dict(v) if type(v) is MappingProxyType else v for v in self._values())
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, shown))
         return f"{type(self).__name__}({fields})"
 
 
@@ -81,7 +87,7 @@ class LogSeries(Frozen):
                 raise ValueError("polynomial-order series cannot carry negative degrees")
         if any(d < floor for d in clean):
             raise ValueError("coefficient below the exactness floor")
-        super().__init__(order, floor, clean)
+        super().__init__(order, floor, MappingProxyType(clean))
 
     # -- basic queries ------------------------------------------------
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import comb, factorial
 
+from logalg.classics import bernoulli_number
 from logalg.operators import ArtinOp, identity_op
 from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
@@ -31,6 +32,24 @@ def classical_bernoulli(n):
     for m in range(1, n + 1):
         out.append(-sum(Fraction(comb(m + 1, k)) * out[k] for k in range(m)) / (m + 1))
     return out
+
+
+def first_omitted_term_bound_by_cases(x, n, order_cutoff, *, log_case=False):
+    """The first nonzero Bernoulli term beyond the cutoff, times 10, by the
+    hand-written derivative of 1/t or of log t at x and X = x + n + 1
+    (the log case needs k >= 2)."""
+    k = order_cutoff + 1
+    while bernoulli_number(k) == 0:
+        k += 1
+    w = abs(float(bernoulli_number(k))) / factorial(k)
+    X = x + n + 1
+    if log_case:
+        deriv = factorial(k - 2)
+        scale = x ** -(k - 1) + X ** -(k - 1)
+    else:
+        deriv = factorial(k - 1)
+        scale = x**-k + X**-k
+    return 10.0 * w * deriv * scale
 
 
 def gen_binomial(r, k):

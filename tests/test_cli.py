@@ -179,6 +179,38 @@ def test_sum_stirling(capsys):
     assert code == 0
 
 
+def test_sum_harmonic_grid_passes(capsys):
+    # true identities, where the first omitted term falls below float
+    # rounding too (x = 300, n = 2 exited 1)
+    failed = []
+    for x in ["1/3", "1", "2", "5", "10", "30", "50", "100", "300", "1000", "10000", "1000000", "1000000000"]:
+        for n in (0, 1, 2, 10, 100):
+            for order in (0, 1, 2, 4, 6, 10, 20):
+                if main(["sum", "harmonic", "--x", x, "--n", str(n), "--order", str(order)]):
+                    failed.append((x, n, order))
+                capsys.readouterr()
+    assert failed == []
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "stirling"])
+@pytest.mark.parametrize("x", ["1/3", "1", "10", "1000000000"])
+@pytest.mark.parametrize("n", ["0", "5"])
+def test_sum_at_order_zero(capsys, kind, x, n):
+    code, out, _ = run(capsys, "sum", kind, "--x", x, "--n", n, "--order", "0")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
+def test_sum_notes_an_empty_verdict(capsys):
+    code, out, err = run(capsys, "sum", "stirling", "--x", "9999999997/9999999999", "--n", "100", "--order", "100")
+    assert code == 0
+    assert "series rhs = 2.855" in out
+    assert err.startswith("note: the bound is at least |lhs| = 368.354")
+    assert len(err.splitlines()) == 1
+    code, out, err = run(capsys, "sum", "harmonic", "--x", "10", "--n", "89", "--order", "6")
+    assert (code, err) == (0, "")
+
+
 def test_sum_rejects_nonpositive_x(capsys):
     code, _, err = run(capsys, "sum", "harmonic", "--x", "0", "--n", "5")
     assert code == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,6 +6,7 @@ from math import factorial
 import pytest
 
 from logalg import classics, eulermac
+from logalg.cli import main
 from logalg.eulermac import (
     EMReport,
     em_apply,
@@ -14,8 +16,15 @@ from logalg.eulermac import (
     lambda_sum_closed_form,
     stirling_identity,
 )
+from logalg.operators import ArtinOp
 from logalg.series import LogSeries, OrderTag, harmonic
-from oracles import agrees, assert_series_sound, classical_bernoulli, em_apply_by_terms
+from oracles import (
+    agrees,
+    assert_series_sound,
+    classical_bernoulli,
+    em_apply_by_terms,
+    first_omitted_term_bound_by_cases,
+)
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -23,11 +32,15 @@ B2_ERROR = F(1, 7)
 
 
 def perturb_b2(monkeypatch):
-    """B_2 off by B2_ERROR wherever eulermac reads a Bernoulli number."""
-    true_number = eulermac.bernoulli_number
-    monkeypatch.setattr(
-        eulermac, "bernoulli_number", lambda k: true_number(k) + (B2_ERROR if k == 2 else 0)
-    )
+    """B_2 off by B2_ERROR in the J**-1 that eulermac reads its weights
+    from: J**-1's D^2 coefficient B_2/2! moves by B2_ERROR/2!."""
+    true_j = eulermac.bernoulli_j
+
+    def wrong_j(cap):
+        j_inv = true_j(cap).recip().coeffs.items()
+        return ArtinOp(cap, {e: c + (B2_ERROR / 2 if e == 2 else 0) for e, c in j_inv}).recip()
+
+    monkeypatch.setattr(eulermac, "bernoulli_j", wrong_j)
 
 
 @pytest.fixture
@@ -63,6 +76,21 @@ def test_em_residual_detects_wrong_b2(wrong_b2, K):
     report = em_operator_residual(K)
     assert not report.symbolic_ok
     assert report.residual_lead == 2
+
+
+@pytest.mark.parametrize("omit", [False, True])
+def test_weight_op_is_bernoulli_over_factorial_by_two_routes(omit):
+    # one reciprocal of J against the member route B_k = B_k(0) and the
+    # classical recurrence
+    classical = classical_bernoulli(40)
+    for K in range(41):
+        keep = [k for k in range(K + 1) if k != 1 or not omit]
+        by_members = {k - 1: classics.bernoulli_number(k) / factorial(k) for k in keep}
+        by_recurrence = {k - 1: classical[k] / factorial(k) for k in keep}
+        w = eulermac._weight_op(K, omit)
+        assert w.cap == K - 1
+        assert w.coeffs == {d: c for d, c in by_members.items() if c}
+        assert w.coeffs == {d: c for d, c in by_recurrence.items() if c}
 
 
 def test_em_residual_rejects_negative_order():
@@ -207,8 +235,55 @@ def test_identities_reject_nonpositive_x():
         stirling_identity(-1, 5, 4)
 
 
+@pytest.mark.parametrize("log_case", [False, True])
+def test_first_omitted_bound_matches_the_two_case_formula(log_case):
+    for x in (1 / 3, 1.0, 10.0, 300.0, 1e6):
+        for n in (0, 5, 100):
+            for K in range(1 if log_case else 0, 41):
+                got = first_omitted_term_bound(x, n, K, log_case=log_case)
+                want = first_omitted_term_bound_by_cases(x, n, K, log_case=log_case)
+                assert math.isclose(got, want, rel_tol=1e-12), (x, n, K)
+
+
+def test_first_omitted_bound_of_log_at_order_zero():
+    # the first omitted term is B_1 (log X - log x): 5 (|log x| + |log X|)
+    for x in (1 / 3, 1.0, 10.0, 300.0, 1e6):
+        for n in (0, 5, 100):
+            want = 5 * (abs(math.log(x)) + abs(math.log(x + n + 1)))
+            assert first_omitted_term_bound(x, n, 0, log_case=True) == want
+
+
 def test_first_omitted_bound_skips_odd_bernoulli_zeros():
     # cutoffs 5 and 6 share the same first nonzero omitted term B_8
     b5 = first_omitted_term_bound(10.0, 20, 6)
     b6 = first_omitted_term_bound(10.0, 20, 7)
     assert b5 == b6
+
+
+# -- the sum verdict: negative controls -----------------------------------
+
+
+def sum_exit(capsys, kind):
+    code = main(["sum", kind, "--x", "10", "--n", "89", "--order", "6"])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "stirling"])
+def test_sum_fails_with_wrong_b2(capsys, monkeypatch, kind):
+    assert sum_exit(capsys, kind) == 0
+    perturb_b2(monkeypatch)
+    assert sum_exit(capsys, kind) == 1
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "stirling"])
+def test_sum_fails_without_its_last_weight(capsys, monkeypatch, kind):
+    # B_6/6! left out of W_6; the bound, from W_8, keeps it
+    true_weights = eulermac._weight_op
+
+    def short_weights(K, omit_linear_term=False):
+        w = true_weights(K, omit_linear_term)
+        return ArtinOp(w.cap, {e: c for e, c in w.coeffs.items() if e != K - 1}) if K == 6 else w
+
+    monkeypatch.setattr(eulermac, "_weight_op", short_weights)
+    assert sum_exit(capsys, kind) == 1

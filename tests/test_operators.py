@@ -54,6 +54,17 @@ def random_delta(rng, cap, linear=F(1)):
 # -- constructors ------------------------------------------------------
 
 
+def test_operator_coeffs_are_read_only_and_hash_by_value():
+    # built twice
+    a, b = (bernoulli_j(12).recip() for _ in range(2))
+    with pytest.raises(TypeError):
+        a.coeffs[3] = 5
+    with pytest.raises(TypeError):
+        del a.coeffs[0]
+    assert a is not b and a == b and hash(a) == hash(b) == hash(ArtinOp(12, dict(a.coeffs)))
+    assert len({a, b, a.truncate(11)}) == 2
+
+
 def test_bernoulli_j_expansion():
     assert bernoulli_j(3).coeffs == {0: F(1), 1: F(1, 2), 2: F(1, 6), 3: F(1, 24)}
 

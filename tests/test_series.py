@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logalg.classics import bernoulli_seq
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 from oracles import agrees, shift_by_roman_coeff
 
@@ -59,6 +60,18 @@ def test_series_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del p.coeffs
     assert (p.floor, p.coeffs) == (-2, {1: F(1, 2)})
+
+
+def test_series_coeffs_are_read_only_and_hash_by_value():
+    # built twice, on two sequences
+    p, q = (bernoulli_seq().member(G, 2, -3) for _ in range(2))
+    with pytest.raises(TypeError):
+        p.coeffs[2] = 5
+    with pytest.raises(TypeError):
+        del p.coeffs[2]
+    assert p.coeffs[2] == 1
+    assert p is not q and hash(p) == hash(q) == hash(LogSeries(G, -3, dict(p.coeffs)))
+    assert len({p, LogSeries(G, -3, dict(p.coeffs)), p.truncate(-2)}) == 2
 
 
 # -- vector space ------------------------------------------------------

@@ -29,7 +29,12 @@ next to this script.  Prints one JSON object:
 * ``closed_forms``: the member reads, each with its count of Fraction
   operations: ``hermite_closed_form`` (sigma = 1/2, degree 4) at both
   orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
-  sequence, at depth 8, 16, 32, 64.
+  sequence, at depth 8, 16, 32, 64;
+* ``eulermac``: the weight operator ``_weight_op(K)`` and
+  ``first_omitted_term_bound(10.0, 5, K)`` for K = 12, 24, 48, 100,
+  each cold (on a fresh ``classics._BERNOULLI``, so no Bernoulli member
+  is cached) and warm (after one call), with its count of Fraction
+  operations.
 
 Each entry gives the best wall time of R runs in seconds and the largest
 numerator and denominator bit length among the result's coefficients.
@@ -44,6 +49,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from logalg import classics
 from logalg.classics import (
     bernoulli_member,
     bernoulli_seq,
@@ -51,6 +57,7 @@ from logalg.classics import (
     laguerre_member,
     laguerre_sheffer_seq,
 )
+from logalg.eulermac import _weight_op, first_omitted_term_bound
 from logalg.operators import (
     bernoulli_j,
     convolve,
@@ -72,6 +79,7 @@ OPERATOR_KS = (10, 20, 40, 80)
 GENFUN_KS = (10, 20, 40)
 IDENTITY_DEPTHS = (4, 8, 16, 32)
 CLOSED_FORM_DEPTHS = (8, 16, 32, 64)
+EM_KS = (12, 24, 48, 100)
 IDENTITY_SEQUENCES = {
     "bernoulli": bernoulli_seq,
     "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
@@ -132,6 +140,22 @@ def closed_forms(r: int) -> dict:
     return out
 
 
+def eulermac(r: int) -> dict:
+    out: dict[str, dict] = {}
+    for K in EM_KS:
+        for name, fn in (
+            ("_weight_op", lambda: _weight_op(K)),
+            ("first_omitted_term_bound", lambda: first_omitted_term_bound(10.0, 5, K)),
+        ):
+            def cold():
+                classics._BERNOULLI = classics.bernoulli_seq()
+                fn()
+
+            out[f"{name} cold K={K}"] = counted(cold, r)
+            out[f"{name} warm K={K}"] = counted(fn, r)  # warmed by the cold calls
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
@@ -184,6 +208,7 @@ def main() -> None:
         "large": large,
         "layers": layers(r),
         "closed_forms": closed_forms(r),
+        "eulermac": eulermac(r),
     }
     print(json.dumps(out, indent=1))
 
