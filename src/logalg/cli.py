@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
 (argparse's default, a malformed value, a value beyond its budget, a
-float out of range, a result too long to print).  The rational flags
+float out of range, a result too long to print) or output that could
+not be written (stdout closed early).  The rational flags
 --x, --sigma and --grade are read as JSON coefficients are.  Output is
 deterministic for fixed flags.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -280,9 +282,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for flag in args.rational_flags:
             setattr(args, flag, _rational(flag, getattr(args, flag)))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes to devnull at exit, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print("error: stdout was closed before all output was written", file=sys.stderr)
+        except BrokenPipeError:  # stderr is closed too
+            os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
         return 2
 
 

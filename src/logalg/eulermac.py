@@ -8,7 +8,10 @@ This module reads W off one reciprocal of J, checks the identity at
 any truncation order with one operator product or one action on a
 series, evaluates the telescoping lambda-sum closed form, and runs the
 two classical numeric instances (harmonic numbers and Stirling's
-formula) against exact summation oracles.
+formula) against exact summation oracles.  Their right side is the
+engine's W_K lam_a, with a = -1 for 1/t and a = 0 for log t, read in
+floats by numeric.eval_difference; their bound is the first omitted
+coefficient of W_(K+2) lam_a.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .classics import bernoulli_member
-from .numeric import eval_lambda
+from .numeric import eval_difference, eval_lambda
 from .operators import ArtinOp, bernoulli_j, forward_difference, identity_op
 from .roman import roman
 from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
@@ -97,38 +100,27 @@ def harmonic_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[Fra
     """1/x + ... + 1/(x+n) against its Bernoulli expansion.
 
     The left side is summed in exact rational arithmetic (the oracle);
-    the right side evaluates the truncated expansion in floats.  Returns
-    (exact_lhs, series_rhs, abs_err).
+    the right side is W_K lam_-1 read at level 1 at x + n + 1 minus at x
+    (``numeric.eval_difference``).  Returns (exact_lhs, series_rhs, abs_err).
     """
     x = _sum_args(x, n, order_cutoff)
     lhs = sum((1 / (x + j) for j in range(n + 1)), Fraction(0))
-    xf, Xf = float(x), float(x + n + 1)
-    rhs = math.log(Xf) - math.log(xf)  # B_0 term: the integral of 1/t
-    w = _weight_op(order_cutoff)
-    for j in range(1, order_cutoff + 1):
-        # (d/dt)^{j-1} (1/t) = (-1)^{j-1} (j-1)! t^-j
-        deriv = (-1.0) ** (j - 1) * math.factorial(j - 1)
-        rhs += float(w.coeff(j - 1)) * deriv * (Xf**-j - xf**-j)
+    w_lam = _weight_op(order_cutoff).apply(harmonic(OrderTag.GENERIC, -1, -1 - order_cutoff))
+    rhs = eval_difference(w_lam, x, x + n + 1)
     return lhs, rhs, abs(float(lhs) - rhs)
 
 
 def stirling_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[float, float, float]:
     """log(x (x+1) ... (x+n)) against its Bernoulli expansion.
 
-    The left side is a direct floating-point log summation (the oracle).
+    The left side is a direct floating-point log summation (the oracle);
+    the right side is W_K lam_0 read at level 1 at x + n + 1 minus at x.
     Returns (lhs, series_rhs, abs_err).
     """
     x = _sum_args(x, n, order_cutoff)
-    xf, Xf = float(x), float(x + n + 1)
     lhs = sum(math.log(float(x + j)) for j in range(n + 1))
-    rhs = Xf * math.log(Xf) - xf * math.log(xf) - (n + 1)  # B_0: integral of log t
-    w = _weight_op(order_cutoff)
-    if order_cutoff >= 1:
-        rhs += float(w.coeff(0)) * (math.log(Xf) - math.log(xf))
-    for j in range(2, order_cutoff + 1):
-        # (d/dt)^{j-1} log t = (-1)^j (j-2)! t^{-(j-1)}
-        deriv = (-1.0) ** j * math.factorial(j - 2)
-        rhs += float(w.coeff(j - 1)) * deriv * (Xf ** -(j - 1) - xf ** -(j - 1))
+    w_lam = _weight_op(order_cutoff).apply(harmonic(OrderTag.GENERIC, 0, -order_cutoff))
+    rhs = eval_difference(w_lam, x, x + n + 1)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -137,12 +129,16 @@ def first_omitted_term_bound(x: float, n: int, order_cutoff: int, *, log_case: b
     run-time acceptance threshold for the numeric checks.  That term is
     c_d lam_d, the first nonzero coefficient of W_(K+2) lam_a beyond the
     cutoff K (d <= a - K; B_(K+1) or B_(K+2) is nonzero), with a = -1 for
-    1/t and a = 0 for log t (``log_case``), read at iterated-log level 1."""
+    1/t and a = 0 for log t (``log_case``), read at iterated-log level 1.
+    Raises OverflowError when that bound is beyond floating-point range."""
     a = 0 if log_case else -1
     tail = _weight_op(order_cutoff + 2).apply(harmonic(OrderTag.GENERIC, a, a - order_cutoff - 2))
     d = max(e for e in tail.coeffs if e <= a - order_cutoff)
     lam = abs(eval_lambda(1, d, x)) + abs(eval_lambda(1, d, x + n + 1))
-    return 10.0 * abs(float(tail.coeffs[d])) * lam
+    bound = 10.0 * abs(float(tail.coeffs[d])) * lam
+    if not math.isfinite(bound):
+        raise OverflowError("the first omitted term is beyond floating-point range")
+    return bound
 
 
 def em_apply(p: LogSeries, n: int, K: int) -> LogSeries:

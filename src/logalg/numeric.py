@@ -10,16 +10,22 @@ The harmonic-number correction at level 1 is the unique choice for which
 the symbolic rule D lam_n = roman(n) lam_{n-1} survives numerically with
 lam_0 = log x and lam_{-1} = 1/x; finite_diff_check enforces exactly
 that.  Floats appear only here, never in the symbolic engine.
+
+eval_series reads a series at one point; eval_difference reads a
+generic-order series at level 1 at X minus at x, the form of the
+Euler-MacLaurin right side (E^{n+1} - I) W lam_a.  Both raise
+OverflowError rather than return a value beyond floating-point range.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .series import LogSeries, OrderTag
 from .roman import roman
 
-__all__ = ["eval_lambda", "eval_series", "finite_diff_check"]
+__all__ = ["eval_lambda", "eval_series", "eval_difference", "finite_diff_check"]
 
 _LEVELS = (0, 1)
 
@@ -32,6 +38,13 @@ def _check_x(x: float) -> None:
     # written so that NaN fails too
     if not 0 < x < math.inf:
         raise ValueError(f"x must be positive and finite, got {x}")
+
+
+def _finite(value: float) -> float:
+    # inf, or the nan of inf - inf, only ever comes from a term out of range
+    if not math.isfinite(value):
+        raise OverflowError("a term is beyond floating-point range")
+    return value
 
 
 def eval_lambda(level: int, n: int, x: float) -> float:
@@ -54,13 +67,40 @@ def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float]:
     if level != (0 if p.order is OrderTag.ZERO else 1):
         raise ValueError("zero-order series evaluate at level 0, generic-order ones at level 1")
     _check_x(x)
-    value = math.fsum(float(c) * eval_lambda(level, d, x) for d, c in p.coeffs.items())
+    value = math.fsum(_finite(float(c) * eval_lambda(level, d, x)) for d, c in p.coeffs.items())
     if p.coeffs:
         last = abs(float(p.coeffs[min(p.coeffs)]))
     else:
         last = 0.0
     bound = last * x**p.floor * max(1.0, math.log(x)) if x > 1 else float("nan")
     return value, bound
+
+
+def eval_difference(p: LogSeries, x: Fraction | float, X: Fraction | float) -> float:
+    """sum_d c_d (lam_d(X) - lam_d(x)) at level 1, for positive rationals
+    x and X (a float is read exactly).
+
+    The terms are added from the top degree down in plain float
+    arithmetic.  For d > 0 the rational part -h_d (X^d - x^d) of a term
+    is taken exactly, so lam_1 gives X log X - x log x - (X - x) with
+    X - x exact.  Raises OverflowError once a term or the running sum
+    is beyond floating-point range.
+    """
+    if p.order is not OrderTag.GENERIC:
+        raise ValueError("a difference is read at level 1, off a generic-order series")
+    x, X = Fraction(x), Fraction(X)
+    xf, Xf = float(x), float(X)
+    _check_x(xf)
+    _check_x(Xf)
+    total = 0.0
+    for d in sorted(p.coeffs, reverse=True):
+        if d > 0:
+            h = sum(Fraction(1, j) for j in range(1, d + 1))
+            diff = Xf**d * math.log(Xf) - xf**d * math.log(xf) - float(h * (X**d - x**d))
+        else:
+            diff = eval_lambda(1, d, Xf) - eval_lambda(1, d, xf)
+        total = _finite(total + float(p.coeffs[d]) * diff)
+    return total
 
 
 def finite_diff_check(level: int, n: int, x: float, h: float) -> float:

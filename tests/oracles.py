@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared across test modules."""
 
+import math
 from fractions import Fraction
 from math import comb, factorial
 
@@ -259,3 +260,33 @@ def appell_from_constants(constants, order, a, floor):
             term = harmonic(order, a - b, floor)
             out = out + term.scale(roman_coeff(a, b) * Fraction(cb))
     return out
+
+
+def harmonic_rhs_by_derivatives(x, n, order_cutoff):
+    """The Euler-MacLaurin right side for 1/t from its hand-derived
+    derivatives: log X - log x plus sum_j (B_j/j!) f^(j-1) at X minus at
+    x, X = x + n + 1, in floats."""
+    w = [b / factorial(k) for k, b in enumerate(classical_bernoulli(order_cutoff))]
+    xf, Xf = float(x), float(x + n + 1)
+    rhs = math.log(Xf) - math.log(xf)  # B_0 term: the integral of 1/t
+    for j in range(1, order_cutoff + 1):
+        # (d/dt)^{j-1} (1/t) = (-1)^{j-1} (j-1)! t^-j
+        deriv = (-1.0) ** (j - 1) * factorial(j - 1)
+        rhs += float(w[j]) * deriv * (Xf**-j - xf**-j)
+    return rhs
+
+
+def stirling_rhs_by_derivatives(x, n, order_cutoff):
+    """The Euler-MacLaurin right side for log t from its hand-derived
+    derivatives: X log X - x log x - (n + 1), the B_1 term, and
+    sum_j (B_j/j!) f^(j-1) at X minus at x, X = x + n + 1, in floats."""
+    w = [b / factorial(k) for k, b in enumerate(classical_bernoulli(order_cutoff))]
+    xf, Xf = float(x), float(x + n + 1)
+    rhs = Xf * math.log(Xf) - xf * math.log(xf) - (n + 1)  # B_0: integral of log t
+    if order_cutoff >= 1:
+        rhs += float(w[1]) * (math.log(Xf) - math.log(xf))
+    for j in range(2, order_cutoff + 1):
+        # (d/dt)^{j-1} log t = (-1)^j (j-2)! t^{-(j-1)}
+        deriv = (-1.0) ** j * factorial(j - 2)
+        rhs += float(w[j]) * deriv * (Xf ** -(j - 1) - xf ** -(j - 1))
+    return rhs

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +14,8 @@ from logalg.series import LogSeries, OrderTag, harmonic
 F = Fraction
 
 LAM2 = harmonic(OrderTag.GENERIC, 2, -8).to_json()
-CATALOGUE = Path(__file__).resolve().parent.parent / "perfbench" / "cli_catalogue.json"
+ROOT = Path(__file__).resolve().parent.parent
+CATALOGUE = ROOT / "perfbench" / "cli_catalogue.json"
 
 
 def run(capsys, *argv):
@@ -270,6 +274,19 @@ def test_bad_rational_or_float_range_exit_2(capsys, argv):
         # the smallest positive --x within MAX_DIGITS: x**-k overflows at k = 31
         ["sum", "harmonic", "--x", f"1/{10**MAX_DIGITS - 1}", "--n", "2", "--order", "40"],
         ["sum", "stirling", "--x", f"1/{10**MAX_DIGITS - 1}", "--n", "2", "--order", "40"],
+        # a right side of inf, a bound of inf, and terms of inf and -inf whose sum was nan
+        ["sum", "harmonic", "--x", "1/9999999", "--n", "0", "--order", "42"],
+        ["sum", "harmonic", "--x", "1/9999999", "--n", "0", "--order", "40"],
+        ["sum", "stirling", "--x", "1/9999999", "--n", "0", "--order", "42"],
+        ["sum", "harmonic", "--x", "3/1000", "--n", "0", "--order", "100"],
+        ["sum", "stirling", "--x", "3/1000", "--n", "0", "--order", "100"],
+        # a term of inf printed inf; inf and -inf met in fsum
+        ["eval", "--level", "0", "--x", "1e100", "--series",
+         '{"order": "zero", "floor": 0, "coeffs": [[2, "1e300"]]}'],
+        ["eval", "--level", "0", "--x", "10", "--series",
+         '{"order": "zero", "floor": 0, "coeffs": [[2, "1e307"], [0, "1e308"]]}'],
+        ["eval", "--level", "1", "--x", "1e100", "--series",
+         '{"order": "generic", "floor": 0, "coeffs": [[2, "1e300"], [1, "-1e300"]]}'],
     ],
 )
 def test_float_overflow_names_the_inputs(capsys, argv):
@@ -430,6 +447,31 @@ def test_eval_rejects_non_finite_x(capsys, x):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "em", "--depth", "3"],
+        ["table", "laguerre", "--from", "-30", "--to", "30", "--depth", "40"],  # 159 kB
+    ],
+)
+def test_closed_stdout_exit_2(argv, buffered):
+    # a reader that closes the pipe at once: the first write, or the final
+    # flush of a buffered stdout, meets a broken pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "logalg.cli", *argv]
+    proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exit_2(capsys):

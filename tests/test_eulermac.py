@@ -17,13 +17,15 @@ from logalg.eulermac import (
     stirling_identity,
 )
 from logalg.operators import ArtinOp
-from logalg.series import LogSeries, OrderTag, harmonic
+from logalg.series import LogSeries, OrderTag, exact_rational, harmonic
 from oracles import (
     agrees,
     assert_series_sound,
     classical_bernoulli,
     em_apply_by_terms,
     first_omitted_term_bound_by_cases,
+    harmonic_rhs_by_derivatives,
+    stirling_rhs_by_derivatives,
 )
 
 F = Fraction
@@ -226,6 +228,30 @@ def test_stirling_identity_accuracy():
     lhs, rhs, err = stirling_identity(10, 89, 6)
     assert err / abs(lhs) < 1e-9
     assert err <= first_omitted_term_bound(10.0, 89, 6, log_case=True)
+
+
+@pytest.mark.parametrize(
+    "identity, oracle, log_case",
+    [
+        (harmonic_identity, harmonic_rhs_by_derivatives, False),
+        (stirling_identity, stirling_rhs_by_derivatives, True),
+    ],
+)
+def test_rhs_equals_the_derivative_oracle_where_the_verdict_says_something(identity, oracle, log_case):
+    # W_K lam_a rounds each coefficient once, the oracle twice (weight, then
+    # derivative), so the two floats can differ in the last bits; on this
+    # grid they do so only at empty verdicts, where the bound is at least |lhs|
+    xs = ["1/3", "1", "2", "10", "300", "1000000", "9999999999", "9999999997/9999999999",
+          "22/7", "1/7", "3/1000", "123456789/1000"]
+    checked = 0
+    for x in map(exact_rational, xs):
+        for n in (0, 1, 9, 100):
+            for K in (0, 1, 2, 3, 4, 5, 6, 8, 10, 20):
+                lhs, rhs, _ = identity(x, n, K)
+                if first_omitted_term_bound(float(x), n, K, log_case=log_case) < abs(lhs):
+                    assert rhs == oracle(x, n, K), (x, n, K)
+                    checked += 1
+    assert checked > 300
 
 
 def test_identities_reject_nonpositive_x():

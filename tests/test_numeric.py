@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logalg.numeric import eval_lambda, eval_series, finite_diff_check
+from logalg.numeric import eval_difference, eval_lambda, eval_series, finite_diff_check
 from logalg.series import LogSeries, OrderTag
 
 F = Fraction
@@ -75,3 +75,64 @@ def test_eval_series_matches_pointwise_sum():
         want = sum(float(c) * eval_lambda(1, d, x) for d, c in p.coeffs.items())
         got, _ = eval_series(p, 1, x)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+# -- eval_difference ------------------------------------------------------
+
+
+def test_eval_difference_of_lam_1_is_x_log_x_minus_x():
+    # the rational part X - x is exact, so this holds bit for bit
+    for x, X in [(F(1, 3), F(13, 3)), (F(10), F(100)), (F(9999999997, 9999999999), F(1010000000, 9999999999) + 100)]:
+        Xf, xf = float(X), float(x)
+        want = Xf * math.log(Xf) - xf * math.log(xf) - float(X - x)
+        assert eval_difference(LogSeries(G, 1, {1: F(1)}), x, X) == want
+
+
+def test_eval_difference_at_degrees_up_to_0_is_two_eval_lambda_calls():
+    for d in range(-6, 1):
+        for x, X in [(F(1, 7), F(22, 7)), (2.5, 40.0)]:
+            want = eval_lambda(1, d, float(X)) - eval_lambda(1, d, float(x))
+            assert eval_difference(LogSeries(G, d, {d: F(1)}), x, X) == want
+
+
+def test_eval_difference_at_degree_2_against_lam_2():
+    # lam_2 = t^2 (log t - 3/2)
+    x, X = F(3, 2), F(23, 2)
+    want = float(X) ** 2 * (math.log(X) - 1.5) - float(x) ** 2 * (math.log(x) - 1.5)
+    assert eval_difference(LogSeries(G, 2, {2: F(1)}), x, X) == pytest.approx(want, rel=1e-14)
+
+
+def test_eval_difference_adds_from_the_top_degree_down():
+    # at x = 1, X = 2 the terms are 1e17 log 2 (ulp 8), then 3 and 3:
+    # added after the large term each 3 is lost, added first their 6 is not
+    p = LogSeries(G, -2, {0: F(10**17), -1: F(-6), -2: F(-4)})
+    terms = [float(c) * (eval_lambda(1, d, 2.0) - eval_lambda(1, d, 1.0)) for d, c in sorted(p.coeffs.items())]
+    got = eval_difference(p, F(1), F(2))
+    assert got == terms[2] + terms[1] + terms[0] == terms[2]
+    assert got != terms[0] + terms[1] + terms[2]
+
+
+def test_eval_difference_rejects_terms_beyond_float_range():
+    with pytest.raises(OverflowError):
+        eval_difference(LogSeries(G, -2, {-2: F(10**300)}), F(1, 10**5), F(2))  # 1e300 * 1e10
+    with pytest.raises(OverflowError):  # inf - inf would be nan
+        eval_difference(LogSeries(G, -3, {-2: F(10**300), -3: F(-(10**300))}), F(1, 10**5), F(2))
+    with pytest.raises(OverflowError):  # x**-d itself
+        eval_difference(LogSeries(G, -80, {-80: F(1)}), F(1, 10**5), F(2))
+
+
+def test_eval_difference_rejects_polynomial_order_and_bad_points():
+    with pytest.raises(ValueError):
+        eval_difference(LogSeries(Z, 0, {1: F(1)}), F(1), F(2))
+    with pytest.raises(ValueError):
+        eval_difference(LogSeries(G, -1, {-1: F(1)}), F(0), F(2))
+
+
+def test_eval_series_rejects_terms_beyond_float_range():
+    for level, p, x in [
+        (0, LogSeries(Z, 0, {2: F(10**300)}), 1e100),
+        (0, LogSeries(Z, 0, {2: F(10**307), 0: F(10**308)}), 10.0),
+        (1, LogSeries(G, 0, {2: F(10**300), 1: F(-(10**300))}), 1e100),  # fsum's -inf + inf
+    ]:
+        with pytest.raises(OverflowError):
+            eval_series(p, level, x)

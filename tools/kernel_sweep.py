@@ -30,11 +30,10 @@ next to this script.  Prints one JSON object:
   operations: ``hermite_closed_form`` (sigma = 1/2, degree 4) at both
   orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
   sequence, at depth 8, 16, 32, 64;
-* ``eulermac``: the weight operator ``_weight_op(K)`` and
-  ``first_omitted_term_bound(10.0, 5, K)`` for K = 12, 24, 48, 100,
-  each cold (on a fresh ``classics._BERNOULLI``, so no Bernoulli member
-  is cached) and warm (after one call), with its count of Fraction
-  operations.
+* ``eulermac``: the weight operator ``_weight_op(K)``,
+  ``first_omitted_term_bound(10.0, 5, K)``, ``harmonic_identity(10, 5, K)``
+  and ``stirling_identity(10, 5, K)`` for K = 12, 24, 48, 100, each with
+  its count of Fraction operations (none of them reads a cached member).
 
 Each entry gives the best wall time of R runs in seconds and the largest
 numerator and denominator bit length among the result's coefficients.
@@ -49,7 +48,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from logalg import classics
 from logalg.classics import (
     bernoulli_member,
     bernoulli_seq,
@@ -57,7 +55,7 @@ from logalg.classics import (
     laguerre_member,
     laguerre_sheffer_seq,
 )
-from logalg.eulermac import _weight_op, first_omitted_term_bound
+from logalg.eulermac import _weight_op, first_omitted_term_bound, harmonic_identity, stirling_identity
 from logalg.operators import (
     bernoulli_j,
     convolve,
@@ -143,16 +141,10 @@ def closed_forms(r: int) -> dict:
 def eulermac(r: int) -> dict:
     out: dict[str, dict] = {}
     for K in EM_KS:
-        for name, fn in (
-            ("_weight_op", lambda: _weight_op(K)),
-            ("first_omitted_term_bound", lambda: first_omitted_term_bound(10.0, 5, K)),
-        ):
-            def cold():
-                classics._BERNOULLI = classics.bernoulli_seq()
-                fn()
-
-            out[f"{name} cold K={K}"] = counted(cold, r)
-            out[f"{name} warm K={K}"] = counted(fn, r)  # warmed by the cold calls
+        out[f"_weight_op K={K}"] = counted(lambda: _weight_op(K), r)
+        out[f"first_omitted_term_bound K={K}"] = counted(lambda: first_omitted_term_bound(10.0, 5, K), r)
+        out[f"harmonic_identity K={K}"] = counted(lambda: harmonic_identity(10, 5, K), r)
+        out[f"stirling_identity K={K}"] = counted(lambda: stirling_identity(10, 5, K), r)
     return out
 
 
