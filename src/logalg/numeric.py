@@ -14,7 +14,9 @@ that.  Floats appear only here, never in the symbolic engine.
 eval_series reads a series at one point; eval_difference reads a
 generic-order series at level 1 at X minus at x, the form of the
 Euler-MacLaurin right side (E^{n+1} - I) W lam_a.  Both raise
-OverflowError rather than return a value beyond floating-point range.
+OverflowError rather than return a value beyond floating-point range;
+eval_series does so only when a term's value is, not when x**d or the
+coefficient alone is.
 """
 
 from __future__ import annotations
@@ -58,22 +60,44 @@ def eval_lambda(level: int, n: int, x: float) -> float:
     return x**n * (math.log(x) - _harmonic_number(n))
 
 
+def _term(c: Fraction, level: int, d: int, x: float) -> float:
+    """c lam_d(x), as float(c) lam_d(x).  Where that is beyond float range,
+    c x^d is formed exactly and rounded once, then multiplied by the
+    level-1 log factor; OverflowError only if the result is out of range too."""
+    try:
+        term = float(c) * eval_lambda(level, d, x)
+    except OverflowError:  # x**d, or float(c)
+        term = math.inf
+    if math.isfinite(term):
+        return term
+    factor = math.log(x) - _harmonic_number(d) if level == 1 and d >= 0 else 1.0
+    return _finite(float(c * Fraction(x) ** d) * factor)
+
+
 def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float]:
     """Evaluate a truncated series; returns (value, trunc_bound).
 
     trunc_bound is a crude tail indicator built from the last retained
-    coefficient, not a certified bound.
+    coefficient, not a certified bound; it is inf, never an error, where
+    it is beyond float range.
     """
     if level != (0 if p.order is OrderTag.ZERO else 1):
         raise ValueError("zero-order series evaluate at level 0, generic-order ones at level 1")
     _check_x(x)
-    value = math.fsum(_finite(float(c) * eval_lambda(level, d, x)) for d, c in p.coeffs.items())
-    if p.coeffs:
-        last = abs(float(p.coeffs[min(p.coeffs)]))
-    else:
-        last = 0.0
-    bound = last * x**p.floor * max(1.0, math.log(x)) if x > 1 else float("nan")
-    return value, bound
+    value = math.fsum(_term(c, level, d, x) for d, c in p.coeffs.items())
+    if not x > 1:
+        return value, float("nan")
+    last = p.coeffs[min(p.coeffs)] if p.coeffs else 0
+    try:
+        bound = abs(float(last)) * x**p.floor
+    except OverflowError:  # x**floor, or float(last)
+        bound = math.inf
+    if not math.isfinite(bound):
+        try:
+            bound = float(abs(last) * Fraction(x) ** p.floor)
+        except OverflowError:
+            bound = math.inf
+    return value, bound * max(1.0, math.log(x))
 
 
 def eval_difference(p: LogSeries, x: Fraction | float, X: Fraction | float) -> float:

@@ -28,12 +28,16 @@ lead below.
   E^z = ``shift_op(z, ...)``, and ``derivative`` and ``antiderivative``
   apply the monomials D and D**-1.
 
-Representation.  Coefficient maps are Fraction maps, in ``coeffs`` and at
-every public boundary.  The two hot kernels, ``convolve`` and ``a ** n``,
-work privately on integer numerators over one common denominator, the
-pair (den, {e: int}) of FLINT's fmpq_poly (Hart, ICMS 2010), so their
-inner loops are plain int arithmetic and each output coefficient is
-reduced by one gcd, not one per term.
+Representation.  Coefficient maps are read-only Fraction maps, in
+``coeffs`` and at every public boundary.  A constructor stores a
+``Fraction`` as the object given and converts any other value, and
+``truncate`` returns its operand when it drops nothing, so an exact value
+is built once and then shared, never re-wrapped or copied.  The two hot
+kernels, ``convolve`` and ``a ** n``, work privately on integer
+numerators over one common denominator, the pair (den, {e: int}) of
+FLINT's fmpq_poly (Hart, ICMS 2010), so their inner loops are plain int
+arithmetic and each output coefficient is reduced by one gcd, not one per
+term.
 """
 
 from __future__ import annotations
@@ -62,11 +66,15 @@ __all__ = [
 
 
 class ArtinOp(Frozen):
+    """A truncated operator (see the module docstring).  A ``Fraction``
+    coefficient is stored as given; any other value, an int, a bool or a
+    ``Fraction`` subclass, is converted with ``Fraction``."""
+
     __slots__ = ("cap", "coeffs")
 
     def __init__(self, cap: int, coeffs: Mapping[int, Fraction | int] | None = None) -> None:
-        clean = {e: Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
-        if any(e > cap for e in clean):
+        clean = {e: c if type(c) is Fraction else Fraction(c) for e, c in (coeffs or {}).items() if c != 0}
+        if max(clean, default=cap) > cap:
             raise ValueError("coefficient above the truncation cap")
         super().__init__(cap, MappingProxyType(clean))
 
@@ -88,9 +96,11 @@ class ArtinOp(Frozen):
         return self.coeffs.get(e, Fraction(0))
 
     def truncate(self, new_cap: int) -> "ArtinOp":
-        """Lower the truncation cap, dropping coefficients above it."""
-        cap = min(self.cap, new_cap)
-        return ArtinOp(cap, {e: c for e, c in self.coeffs.items() if e <= cap})
+        """Lower the truncation cap, dropping coefficients above it; ``self``
+        when the cap does not fall, as nothing is dropped."""
+        if new_cap >= self.cap:
+            return self
+        return ArtinOp(new_cap, {e: c for e, c in self.coeffs.items() if e <= new_cap})
 
     # -- ring structure -----------------------------------------------
 

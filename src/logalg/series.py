@@ -39,10 +39,13 @@ class Frozen:
     once by ``__init__`` and then compared, hashed and printed by value,
     as a frozen dataclass's are.  A coefficient map is stored read-only,
     as a ``MappingProxyType``: it hashes as the frozenset of its items and
-    prints as a dict.  A value with a list or dict field, as ``SeqTable``,
-    is compared and printed but not hashable.  The ``dataclasses`` module
-    is not used because it imports ``inspect``: about 0.9 MB of resident
-    memory in every process that imports logalg."""
+    prints as a dict.  A coefficient that is a ``Fraction`` is stored as
+    the object given, and any other value is converted to one, so values
+    share coefficients, and are shared themselves, without a copy.  A
+    value with a list or dict field, as ``SeqTable``, is compared and
+    printed but not hashable.  The ``dataclasses`` module is not used
+    because it imports ``inspect``: about 0.9 MB of resident memory in
+    every process that imports logalg."""
 
     __slots__ = ()
 
@@ -77,15 +80,20 @@ class Frozen:
 
 
 class LogSeries(Frozen):
+    """A truncated series (see the module docstring).  A ``Fraction``
+    coefficient is stored as given; any other value, an int, a bool or a
+    ``Fraction`` subclass, is converted with ``Fraction``."""
+
     __slots__ = ("order", "floor", "coeffs")
 
     def __init__(self, order: OrderTag, floor: int, coeffs: Mapping[int, Fraction | int] | None = None) -> None:
-        clean = {d: Fraction(c) for d, c in (coeffs or {}).items() if c != 0}
+        clean = {d: c if type(c) is Fraction else Fraction(c) for d, c in (coeffs or {}).items() if c != 0}
         if order is OrderTag.ZERO:
             floor = max(floor, 0)
-            if any(d < 0 for d in clean):
-                raise ValueError("polynomial-order series cannot carry negative degrees")
-        if any(d < floor for d in clean):
+        low = min(clean, default=floor)  # the clamped floor: an empty map trips no check
+        if low < 0 and order is OrderTag.ZERO:
+            raise ValueError("polynomial-order series cannot carry negative degrees")
+        if low < floor:
             raise ValueError("coefficient below the exactness floor")
         super().__init__(order, floor, MappingProxyType(clean))
 
@@ -168,9 +176,11 @@ class LogSeries(Frozen):
         return self.coeffs.get(0, Fraction(0))
 
     def truncate(self, new_floor: int) -> "LogSeries":
-        """Raise the exactness floor, dropping coefficients below it."""
-        floor = max(self.floor, new_floor)
-        return LogSeries(self.order, floor, {d: c for d, c in self.coeffs.items() if d >= floor})
+        """Raise the exactness floor, dropping coefficients below it; ``self``
+        when the floor does not rise, as nothing is dropped."""
+        if new_floor <= self.floor:
+            return self
+        return LogSeries(self.order, new_floor, {d: c for d, c in self.coeffs.items() if d >= new_floor})
 
     # -- serialization ------------------------------------------------
 

@@ -78,8 +78,9 @@ class GradedSeq:
     far.  The operators h, f and h**-1 are each kept at the deepest cap
     asked so far and handed out as truncations, so one reciprocal serves
     every member that needs no deeper one, and memory stays linear in the
-    cap.  The caches hold immutable values, so a concurrent duplicate
-    fill is harmless.
+    cap.  A read at the cached floor or cap gets the cached object
+    itself, shared and not copied; the caches hold immutable values, so
+    sharing them is safe and a concurrent duplicate fill is harmless.
     """
 
     def __init__(self, rule: HarmonicRule | AppellRule | AssociatedRule | ShefferRule):
@@ -91,6 +92,9 @@ class GradedSeq:
     # -- members ------------------------------------------------------
 
     def member(self, order: OrderTag, a: int, floor: int) -> LogSeries:
+        """s_a down to ``floor``.  A generic read at the cached member's
+        floor returns the cached (immutable) series itself; an order-(0)
+        read, or a shallower floor, builds a new series from it."""
         if floor > a:
             raise ValueError(f"floor {floor} lies above the member degree {a}")
         # order (0) is generic order with lam_d = 0 for d < 0: read from degree 0 up
@@ -100,6 +104,8 @@ class GradedSeq:
         cached = self._cache.get(a)
         if cached is None or cached.floor > low:
             cached = self._cache[a] = self._build(a, low)
+        if order is OrderTag.GENERIC and cached.floor == low:
+            return cached
         return LogSeries(order, low, {d: c for d, c in cached.coeffs.items() if d >= low})
 
     def _build(self, a: int, floor: int) -> LogSeries:
@@ -121,7 +127,7 @@ class GradedSeq:
 
     def _deepest(self, name: str, cap: int, build: Callable[[int], ArtinOp]) -> ArtinOp:
         """The operator ``name`` through D^cap, truncated from the deepest
-        one built so far."""
+        one built so far: that operator itself, shared, at its own cap."""
         op = self._ops.get(name)
         if op is None or op.cap < cap:
             op = self._ops[name] = build(cap)

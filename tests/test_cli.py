@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -428,6 +429,20 @@ def test_eval_level_zero_polynomial(capsys):
     code, out, _ = run(capsys, "eval", "--series", series, "--level", "0", "--x", "4")
     assert code == 0
     assert float(out.strip()) == pytest.approx(16 - 4 + 1 / 6)
+
+
+@pytest.mark.parametrize(
+    "level, order, value",
+    [(0, "zero", 1e100), (1, "generic", 1e100 * (math.log(1e100) - 25 / 12))],
+    ids=["level-0", "level-1"],
+)
+def test_eval_finite_value_whose_power_alone_overflows(capsys, level, order, value):
+    # 1e100**4 is beyond float range, 1e-300 * 1e100**4 = 1e100 is not
+    series = json.dumps({"order": order, "floor": 4, "coeffs": [[4, "1e-300"]]})
+    code, out, err = run(capsys, "eval", "--level", str(level), "--x", "1e100", "--series", series)
+    assert code == 0
+    assert float(out) == pytest.approx(value, rel=1e-14)
+    assert err == f"trunc bound ~ {1e100 * math.log(1e100):.6g}\n"
 
 
 def test_eval_table_json_roundtrip(capsys):

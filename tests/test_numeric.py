@@ -136,3 +136,26 @@ def test_eval_series_rejects_terms_beyond_float_range():
     ]:
         with pytest.raises(OverflowError):
             eval_series(p, level, x)
+
+
+def test_eval_series_reads_a_finite_value_whose_power_alone_overflows():
+    # 1e100**4 and 1e-100**-4 are beyond float range; each term is 1e100
+    exact = float(F(1, 10**300) * F(1e100) ** 4)
+    for level, p, x, factor in [
+        (0, LogSeries(Z, 4, {4: F(1, 10**300)}), 1e100, 1.0),
+        (1, LogSeries(G, 4, {4: F(1, 10**300)}), 1e100, math.log(1e100) - 25 / 12),
+        (1, LogSeries(G, -4, {-4: F(1, 10**300)}), 1e-100, 1.0),
+    ]:
+        value, _ = eval_series(p, level, x)
+        assert value == pytest.approx(exact * factor, rel=1e-15)
+    # the coefficient alone beyond float range: 1e400 * 1e-300**1
+    value, bound = eval_series(LogSeries(Z, 1, {1: F(10**400)}), 0, 1e-300)
+    assert value == pytest.approx(1e100, rel=1e-15) and math.isnan(bound)
+
+
+def test_eval_series_trunc_bound_beyond_float_range_reads_inf():
+    # the value 1e8 * 1e100**3 = 1e308 is finite; the bound, 1e308 * log(1e100), is not
+    value, bound = eval_series(LogSeries(Z, 3, {3: F(10**8)}), 0, 1e100)
+    assert value == pytest.approx(1e308, rel=1e-15) and bound == math.inf
+    _, bound = eval_series(LogSeries(Z, 4, {4: F(1, 10**300)}), 0, 1e100)
+    assert bound == pytest.approx(1e100 * math.log(1e100), rel=1e-15)

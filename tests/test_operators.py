@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -63,6 +64,56 @@ def test_operator_coeffs_are_read_only_and_hash_by_value():
         del a.coeffs[0]
     assert a is not b and a == b and hash(a) == hash(b) == hash(ArtinOp(12, dict(a.coeffs)))
     assert len({a, b, a.truncate(11)}) == 2
+
+
+def fraction_constructions(fn) -> int:
+    """Calls of Fraction.__new__ made by fn(), counted by a profile hook."""
+    new, count = Fraction.__new__.__code__, [0]
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            count[0] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+class Third(Fraction):
+    """A Fraction subclass, which a constructor converts to an exact Fraction."""
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda m: ArtinOp(4, m), lambda m: LogSeries(G, -2, m), lambda m: LogSeries(Z, -2, m)],
+    ids=["ArtinOp", "LogSeries-generic", "LogSeries-zero"],
+)
+def test_constructors_store_a_fraction_as_given_and_convert_the_rest(build):
+    given = F(1, 3)
+    value = build({4: 5, 3: True, 2: Third(2, 3), 1: given, 0: F(0)})
+    assert value.coeffs == {4: 5, 3: 1, 2: F(2, 3), 1: F(1, 3)}
+    assert all(type(v) is Fraction for v in value.coeffs.values())
+    assert value.coeffs[1] is given
+
+
+def test_operator_cap_check():
+    with pytest.raises(ValueError, match="above the truncation cap"):
+        ArtinOp(2, {3: F(1), 1: F(1)})
+    # an empty map trips no check, whatever the cap; zeros are dropped first
+    for cap in (-3, 0, 5):
+        assert ArtinOp(cap, {}).cap == cap and ArtinOp(cap, {cap + 1: 0}).is_zero()
+
+
+def test_constructors_make_no_fraction_from_a_fraction_map():
+    coeffs = {e: F(1, e + 4) for e in range(-3, 8)}
+    assert fraction_constructions(lambda: ArtinOp(7, coeffs)) == 0
+    assert fraction_constructions(lambda: LogSeries(G, -3, coeffs)) == 0
+    # the hook does see a conversion: one per int coefficient
+    assert fraction_constructions(lambda: ArtinOp(7, {0: 1, 1: 2})) == 2
+    assert fraction_constructions(lambda: LogSeries(G, -3, {0: 1, 1: 2})) == 2
 
 
 def test_bernoulli_j_expansion():
@@ -263,7 +314,8 @@ def test_cap_soundness_of_compose_and_comp_inverse(seed):
 def test_truncate_lowers_cap():
     op = bernoulli_j(6)
     assert op.truncate(3) == bernoulli_j(3)
-    assert op.truncate(9) == op
+    # nothing dropped: the operator itself
+    assert op.truncate(9) is op and op.truncate(op.cap) is op
 
 
 # -- power and action against the algorithms they replaced --------------

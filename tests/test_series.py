@@ -41,13 +41,24 @@ def test_harmonic_zero_order_negative_degree_vanishes():
 
 
 def test_zero_order_rejects_negative_degrees():
-    with pytest.raises(ValueError):
-        LogSeries(Z, 0, {-1: F(1)})
+    for floor in (-3, 0, 2):
+        with pytest.raises(ValueError, match="negative degrees"):
+            LogSeries(Z, floor, {-1: F(1)})
 
 
 def test_coefficient_below_floor_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="below the exactness floor"):
         LogSeries(G, -2, {-3: F(1)})
+    with pytest.raises(ValueError, match="below the exactness floor"):
+        LogSeries(Z, 2, {1: F(1), 3: F(1)})
+
+
+def test_empty_map_trips_no_bound_check():
+    # whatever the floor, an order-(0) one below 0 included; zeros are dropped first
+    for floor in (-3, 0, 5):
+        assert LogSeries(Z, floor, {}).floor == max(floor, 0)
+        assert LogSeries(G, floor, {floor - 1: 0}).floor == floor
+    assert LogSeries(Z, -3, {2: F(1)}).floor == 0
 
 
 def test_series_is_an_immutable_value():
@@ -226,6 +237,8 @@ def test_truncate_drops_low_terms():
     p = generic({2: 1, -4: 1}, -6)
     t = p.truncate(-2)
     assert t.coeffs == {2: F(1)} and t.floor == -2
+    # nothing dropped: the series itself
+    assert p.truncate(p.floor) is p and p.truncate(-9) is p
 
 
 @given(generic_series(), st.integers(min_value=-8, max_value=2), rationals)

@@ -153,6 +153,25 @@ def test_order_zero_member_below_floor_zero_is_built_once(monkeypatch):
     assert builds == [(3, 0)]
 
 
+def test_members_and_operators_are_shared_at_their_cached_floor_and_cap():
+    seq = laguerre_sheffer_seq(F(1, 2))
+    member = seq.member(G, 3, -4)
+    assert seq.member(G, 3, -4) is member
+    shallow = seq.member(G, 3, -2)
+    assert shallow is not member and shallow.floor == -2 and agrees(shallow, member)
+    deeper = seq.member(G, 3, -6)
+    assert deeper is not member and seq.member(G, 3, -6) is deeper
+    # an order-(0) read is its own series, tagged ZERO, read off the cached one
+    zero = seq.member(Z, 3, -2)
+    assert zero.order is Z and zero.floor == 0
+    assert zero.coeffs == {d: c for d, c in deeper.coeffs.items() if d >= 0}
+    # an operator read at the deepest cap so far is the cached one
+    seq = laguerre_sheffer_seq(F(1, 2))
+    for read in (seq.delta_op, seq.invertible_op):
+        op = read(8)
+        assert read(8) is op and read(6) is not op and read(6) == op.truncate(6)
+
+
 # -- characterization checks -------------------------------------------
 
 

@@ -33,7 +33,15 @@ next to this script.  Prints one JSON object:
 * ``eulermac``: the weight operator ``_weight_op(K)``,
   ``first_omitted_term_bound(10.0, 5, K)``, ``harmonic_identity(10, 5, K)``
   and ``stirling_identity(10, 5, K)`` for K = 12, 24, 48, 100, each with
-  its count of Fraction operations (none of them reads a cached member).
+  its count of Fraction operations (none of them reads a cached member);
+* ``deck``: per request kind of the benchmark's workloads
+  (``perfbench/workloads.py``), the ``Fraction`` constructions (calls of
+  ``Fraction.__new__``) and Fraction arithmetic operations (those that
+  ``perfbench/tracing.py`` counts), over the first 3 000 seed-12
+  session-warm requests from cold caches, and over one pass of the
+  seed-11 verify-deep deck after a warm-up pass.  Requests are prepared
+  outside the count.  It runs first, before any other section warms the
+  member caches.
 
 Each entry gives the best wall time of R runs in seconds and the largest
 numerator and denominator bit length among the result's coefficients.
@@ -68,7 +76,10 @@ from logalg.sheffer import AssociatedRule, GradedSeq, exp_genfun_coefficients
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
 from oracles import shift_by_roman_coeff  # noqa: E402
-from tracing import count_ops  # noqa: E402
+from tracing import _ARITH, count_ops  # noqa: E402
+# workloads' own ``check`` is never called here, so it does not matter
+# that ``oracles`` names the tests' module in this process
+from workloads import execute, prepare, session_stream, verify_deck  # noqa: E402
 
 KS = (10, 20, 40, 80, 150)
 BINOMIAL_KS = (10, 40, 150)
@@ -78,6 +89,9 @@ GENFUN_KS = (10, 20, 40)
 IDENTITY_DEPTHS = (4, 8, 16, 32)
 CLOSED_FORM_DEPTHS = (8, 16, 32, 64)
 EM_KS = (12, 24, 48, 100)
+SESSION_SEED, SESSION_REQUESTS = 12, 3000
+DECK_SEED = 11
+_NEW = Fraction.__new__.__code__
 IDENTITY_SEQUENCES = {
     "bernoulli": bernoulli_seq,
     "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
@@ -148,10 +162,45 @@ def eulermac(r: int) -> dict:
     return out
 
 
+def fraction_counts(requests: list[dict]) -> dict:
+    """Fraction constructions and arithmetic operations made by ``execute``
+    on each prepared request, summed per request kind and in total."""
+    out: dict[str, dict[str, int]] = {}
+    for r in requests:
+        counts = out.setdefault(r["kind"], {"constructions": 0, "fraction_ops": 0})
+
+        def hook(frame, event, arg, counts=counts):
+            if event == "call":
+                if frame.f_code is _NEW:
+                    counts["constructions"] += 1
+                elif frame.f_code in _ARITH:
+                    counts["fraction_ops"] += 1
+
+        sys.setprofile(hook)
+        try:
+            execute(r)
+        finally:
+            sys.setprofile(None)
+    out["total"] = {key: sum(c[key] for c in out.values()) for key in ("constructions", "fraction_ops")}
+    return out
+
+
+def deck() -> dict:
+    stream = session_stream(SESSION_SEED)
+    session = fraction_counts([prepare(next(stream)) for _ in range(SESSION_REQUESTS)])
+    verify = [prepare(r) for r in verify_deck(DECK_SEED)]
+    fraction_counts(verify)  # the warm-up pass
+    return {
+        f"session-warm seed={SESSION_SEED} first {SESSION_REQUESTS}": session,
+        f"verify-deep seed={DECK_SEED} warm pass": fraction_counts(verify),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
     r = parser.parse_args().repeat
+    counts = deck()  # first: the session requests start from cold caches
 
     sweep = {}
     for K in KS:
@@ -201,6 +250,7 @@ def main() -> None:
         "layers": layers(r),
         "closed_forms": closed_forms(r),
         "eulermac": eulermac(r),
+        "deck": counts,
     }
     print(json.dumps(out, indent=1))
 
