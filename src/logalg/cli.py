@@ -39,12 +39,7 @@ from .classics import (
     laguerre_genfun_check,
     laguerre_sheffer_seq,
 )
-from .eulermac import (
-    em_operator_residual,
-    first_omitted_term_bound,
-    harmonic_identity,
-    stirling_identity,
-)
+from .eulermac import em_operator_residual, harmonic_identity, stirling_identity
 from .numeric import eval_series
 from .operators import forward_difference
 from .series import LogSeries, OrderTag, exact_rational
@@ -138,7 +133,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         args.a_from,
         args.a_to,
         args.depth,
-        order=OrderTag.ZERO if args.order == "zero" else OrderTag.GENERIC,
+        order=OrderTag(args.order),
         sigma=args.sigma,
         grade=args.grade,
     )
@@ -196,8 +191,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     harmonic = args.kind == "harmonic"
     identity = harmonic_identity if harmonic else stirling_identity
     try:
-        lhs, rhs, err = identity(x, args.n, args.order)
-        bound = first_omitted_term_bound(xf, args.n, args.order, log_case=not harmonic)
+        lhs, rhs, err, bound = identity(x, args.n, args.order)
     except OverflowError:  # x**-k, with x small and k up to the order
         raise ValueError(
             f"--x {xf:g} with --n {args.n} and --order {args.order}: "

@@ -8,10 +8,10 @@ This module reads W off one reciprocal of J, checks the identity at
 any truncation order with one operator product or one action on a
 series, evaluates the telescoping lambda-sum closed form, and runs the
 two classical numeric instances (harmonic numbers and Stirling's
-formula) against exact summation oracles.  Their right side is the
-engine's W_K lam_a, with a = -1 for 1/t and a = 0 for log t, read in
-floats by numeric.eval_difference; their bound is the first omitted
-coefficient of W_(K+2) lam_a.
+formula) against exact summation oracles.  Each instance returns
+(lhs, rhs, err, bound): its right side W_K lam_a (a = -1 for 1/t, a = 0
+for log t, read by numeric.eval_difference) and its bound, the first
+omitted term, are two readings of one series W_(K+2) lam_a.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .classics import bernoulli_member
 from .numeric import eval_difference, eval_lambda
 from .operators import ArtinOp, bernoulli_j, forward_difference, identity_op
 from .roman import roman
-from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
+from .series import Frozen, LogSeries, OrderTag, harmonic
 
 __all__ = [
     "EMReport",
@@ -32,7 +32,6 @@ __all__ = [
     "harmonic_identity",
     "stirling_identity",
     "em_apply",
-    "first_omitted_term_bound",
 ]
 
 
@@ -92,53 +91,55 @@ def _weight_op(K: int, omit_linear_term: bool = False) -> ArtinOp:
 
 
 def _shift_sum(p: LogSeries, n: int) -> LogSeries:
-    """The direct sum p + E p + ... + E^n p."""
-    return sum((p.shift(j) for j in range(n + 1)), zero_series(p.order, p.floor))
+    """p + E p + ... + E^n p by one operator, sum_k (0^k + ... + n^k) D^k / k!,
+    known through D^(top - floor) so that the floor is kept."""
+    cap = max(p.coeffs, default=p.floor) - p.floor
+    sums = {k: Fraction(sum(j**k for j in range(n + 1)), math.factorial(k)) for k in range(cap + 1)}
+    return ArtinOp(cap, sums).apply(p)
 
 
-def harmonic_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[Fraction, float, float]:
+def _read_w_lambda(a: int, x: Fraction, n: int, K: int) -> tuple[float, float]:
+    """The right side and the bound of lam_a(x) + ... + lam_a(x+n), both off
+    W_(K+2) lam_a: the right side reads it cut to W_K lam_a, above degree
+    a - K, at level 1 at X = x + n + 1 minus at x; the bound is ten times
+    the first omitted term, c_d lam_d at x plus at X in floats, c_d its
+    first nonzero coefficient at or below a - K (B_(K+1) or B_(K+2) is
+    nonzero).  Raises OverflowError when either is beyond float range."""
+    w_lam = _weight_op(K + 2).apply(harmonic(OrderTag.GENERIC, a, a - K - 2))
+    rhs = eval_difference(w_lam.truncate(a - K + 1), x, x + n + 1)
+    d = max(e for e in w_lam.coeffs if e <= a - K)
+    xf = float(x)
+    lam = abs(eval_lambda(1, d, xf)) + abs(eval_lambda(1, d, xf + n + 1))
+    bound = 10.0 * abs(float(w_lam.coeffs[d])) * lam
+    if not math.isfinite(bound):
+        raise OverflowError("the first omitted term is beyond floating-point range")
+    return rhs, bound
+
+
+def harmonic_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[Fraction, float, float, float]:
     """1/x + ... + 1/(x+n) against its Bernoulli expansion.
 
     The left side is summed in exact rational arithmetic (the oracle);
-    the right side is W_K lam_-1 read at level 1 at x + n + 1 minus at x
-    (``numeric.eval_difference``).  Returns (exact_lhs, series_rhs, abs_err).
+    the right side and the bound are read off W_(K+2) lam_-1
+    (``_read_w_lambda``).  Returns (exact_lhs, series_rhs, abs_err, bound).
     """
     x = _sum_args(x, n, order_cutoff)
     lhs = sum((1 / (x + j) for j in range(n + 1)), Fraction(0))
-    w_lam = _weight_op(order_cutoff).apply(harmonic(OrderTag.GENERIC, -1, -1 - order_cutoff))
-    rhs = eval_difference(w_lam, x, x + n + 1)
-    return lhs, rhs, abs(float(lhs) - rhs)
+    rhs, bound = _read_w_lambda(-1, x, n, order_cutoff)
+    return lhs, rhs, abs(float(lhs) - rhs), bound
 
 
-def stirling_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[float, float, float]:
+def stirling_identity(x: Fraction | int, n: int, order_cutoff: int) -> tuple[float, float, float, float]:
     """log(x (x+1) ... (x+n)) against its Bernoulli expansion.
 
     The left side is a direct floating-point log summation (the oracle);
-    the right side is W_K lam_0 read at level 1 at x + n + 1 minus at x.
-    Returns (lhs, series_rhs, abs_err).
+    the right side and the bound are read off W_(K+2) lam_0.
+    Returns (lhs, series_rhs, abs_err, bound).
     """
     x = _sum_args(x, n, order_cutoff)
     lhs = sum(math.log(float(x + j)) for j in range(n + 1))
-    w_lam = _weight_op(order_cutoff).apply(harmonic(OrderTag.GENERIC, 0, -order_cutoff))
-    rhs = eval_difference(w_lam, x, x + n + 1)
-    return lhs, rhs, abs(lhs - rhs)
-
-
-def first_omitted_term_bound(x: float, n: int, order_cutoff: int, *, log_case: bool = False) -> float:
-    """Ten times the first omitted term, at x plus at X = x + n + 1: the
-    run-time acceptance threshold for the numeric checks.  That term is
-    c_d lam_d, the first nonzero coefficient of W_(K+2) lam_a beyond the
-    cutoff K (d <= a - K; B_(K+1) or B_(K+2) is nonzero), with a = -1 for
-    1/t and a = 0 for log t (``log_case``), read at iterated-log level 1.
-    Raises OverflowError when that bound is beyond floating-point range."""
-    a = 0 if log_case else -1
-    tail = _weight_op(order_cutoff + 2).apply(harmonic(OrderTag.GENERIC, a, a - order_cutoff - 2))
-    d = max(e for e in tail.coeffs if e <= a - order_cutoff)
-    lam = abs(eval_lambda(1, d, x)) + abs(eval_lambda(1, d, x + n + 1))
-    bound = 10.0 * abs(float(tail.coeffs[d])) * lam
-    if not math.isfinite(bound):
-        raise OverflowError("the first omitted term is beyond floating-point range")
-    return bound
+    rhs, bound = _read_w_lambda(0, x, n, order_cutoff)
+    return lhs, rhs, abs(lhs - rhs), bound
 
 
 def em_apply(p: LogSeries, n: int, K: int) -> LogSeries:

@@ -111,6 +111,12 @@ def antiderivative_by_roman(p):
     return LogSeries(p.order, p.floor + 1, {d + 1: c / roman(d + 1) for d, c in p.coeffs.items()})
 
 
+def shift_sum_by_shifts(p: LogSeries, n: int) -> LogSeries:
+    """The direct sum p + E p + ... + E^n p, one shift per term: the
+    n + 1 applies and n additions that the one power-sum operator replaced."""
+    return sum((p.shift(j) for j in range(n + 1)), zero_series(p.order, p.floor))
+
+
 def em_apply_by_terms(p, n, weights):
     """sum_{j=0..n} E^j p minus [w_0 (E^{n+1}-I) D**-1 p + sum_{k=1..K}
     w_k (E^{n+1}-I) D^{k-1} p], with w_k = weights[k] (B_k/k! unless a

@@ -11,7 +11,6 @@ from logalg.eulermac import (
     EMReport,
     em_apply,
     em_operator_residual,
-    first_omitted_term_bound,
     harmonic_identity,
     lambda_sum_closed_form,
     stirling_identity,
@@ -25,6 +24,7 @@ from oracles import (
     em_apply_by_terms,
     first_omitted_term_bound_by_cases,
     harmonic_rhs_by_derivatives,
+    shift_sum_by_shifts,
     stirling_rhs_by_derivatives,
 )
 
@@ -209,14 +209,40 @@ def test_em_apply_rejects_polynomial_order():
         em_apply(harmonic(Z, 2, 0), 3, 4)
 
 
+@pytest.mark.parametrize("order", [G, Z])
+@pytest.mark.parametrize("n", [0, 1, 7, 30])
+def test_shift_sum_is_the_sum_of_n_plus_one_shifts(monkeypatch, order, n):
+    # one operator, applied once, against n + 1 shifts added up
+    applies = []
+    true_apply = ArtinOp.apply
+
+    def counted_apply(op, p):
+        applies.append(op)
+        return true_apply(op, p)
+
+    monkeypatch.setattr(ArtinOp, "apply", counted_apply)
+    rng = random.Random(1989 + n)
+    for i in range(150):
+        top = rng.randint(-6, 8)
+        floor = top - rng.randint(0, 10)
+        keep = range(max(floor, 0) if order is Z else floor, top + 1)
+        coeffs = {d: F(rng.randint(-6, 6), rng.randint(1, 6)) for d in keep} if i % 10 else {}
+        p = LogSeries(order, floor, coeffs)
+        want = shift_sum_by_shifts(p, n)
+        applies.clear()
+        got = eulermac._shift_sum(p, n)
+        assert len(applies) == 1
+        assert (got.floor, got.coeffs) == (want.floor, want.coeffs), (p, n)
+
+
 # -- numeric instances --------------------------------------------------
 
 
 def test_harmonic_identity_accuracy():
-    lhs, rhs, err = harmonic_identity(10, 89, 6)
+    lhs, rhs, err, bound = harmonic_identity(10, 89, 6)
     assert lhs == sum(F(1, 10 + j) for j in range(90))
     assert err < 1e-8
-    assert err <= first_omitted_term_bound(10.0, 89, 6)
+    assert err <= bound
 
 
 def test_harmonic_identity_error_decreases_in_x():
@@ -225,19 +251,16 @@ def test_harmonic_identity_error_decreases_in_x():
 
 
 def test_stirling_identity_accuracy():
-    lhs, rhs, err = stirling_identity(10, 89, 6)
+    lhs, rhs, err, bound = stirling_identity(10, 89, 6)
     assert err / abs(lhs) < 1e-9
-    assert err <= first_omitted_term_bound(10.0, 89, 6, log_case=True)
+    assert err <= bound
 
 
 @pytest.mark.parametrize(
-    "identity, oracle, log_case",
-    [
-        (harmonic_identity, harmonic_rhs_by_derivatives, False),
-        (stirling_identity, stirling_rhs_by_derivatives, True),
-    ],
+    "identity, oracle",
+    [(harmonic_identity, harmonic_rhs_by_derivatives), (stirling_identity, stirling_rhs_by_derivatives)],
 )
-def test_rhs_equals_the_derivative_oracle_where_the_verdict_says_something(identity, oracle, log_case):
+def test_rhs_equals_the_derivative_oracle_where_the_verdict_says_something(identity, oracle):
     # W_K lam_a rounds each coefficient once, the oracle twice (weight, then
     # derivative), so the two floats can differ in the last bits; on this
     # grid they do so only at empty verdicts, where the bound is at least |lhs|
@@ -247,8 +270,8 @@ def test_rhs_equals_the_derivative_oracle_where_the_verdict_says_something(ident
     for x in map(exact_rational, xs):
         for n in (0, 1, 9, 100):
             for K in (0, 1, 2, 3, 4, 5, 6, 8, 10, 20):
-                lhs, rhs, _ = identity(x, n, K)
-                if first_omitted_term_bound(float(x), n, K, log_case=log_case) < abs(lhs):
+                lhs, rhs, _, bound = identity(x, n, K)
+                if bound < abs(lhs):
                     assert rhs == oracle(x, n, K), (x, n, K)
                     checked += 1
     assert checked > 300
@@ -266,7 +289,7 @@ def test_first_omitted_bound_matches_the_two_case_formula(log_case):
     for x in (1 / 3, 1.0, 10.0, 300.0, 1e6):
         for n in (0, 5, 100):
             for K in range(1 if log_case else 0, 41):
-                got = first_omitted_term_bound(x, n, K, log_case=log_case)
+                got = eulermac._read_w_lambda(0 if log_case else -1, x, n, K)[1]
                 want = first_omitted_term_bound_by_cases(x, n, K, log_case=log_case)
                 assert math.isclose(got, want, rel_tol=1e-12), (x, n, K)
 
@@ -276,14 +299,14 @@ def test_first_omitted_bound_of_log_at_order_zero():
     for x in (1 / 3, 1.0, 10.0, 300.0, 1e6):
         for n in (0, 5, 100):
             want = 5 * (abs(math.log(x)) + abs(math.log(x + n + 1)))
-            assert first_omitted_term_bound(x, n, 0, log_case=True) == want
+            assert eulermac._read_w_lambda(0, x, n, 0)[1] == want
 
 
 def test_first_omitted_bound_skips_odd_bernoulli_zeros():
-    # cutoffs 5 and 6 share the same first nonzero omitted term B_8
-    b5 = first_omitted_term_bound(10.0, 20, 6)
-    b6 = first_omitted_term_bound(10.0, 20, 7)
-    assert b5 == b6
+    # cutoffs 6 and 7 share the same first nonzero omitted term B_8
+    b6 = eulermac._read_w_lambda(-1, 10.0, 20, 6)[1]
+    b7 = eulermac._read_w_lambda(-1, 10.0, 20, 7)[1]
+    assert b6 == b7
 
 
 # -- the sum verdict: negative controls -----------------------------------
@@ -295,6 +318,30 @@ def sum_exit(capsys, kind):
     return code
 
 
+@pytest.mark.parametrize("a", [-1, 0])
+def test_w_k_lambda_is_w_k_plus_2_lambda_cut(a):
+    # the fact the sum reads its right side by: W_(K+2) is W_K through D^(K-1)
+    for K in range(61):
+        short = eulermac._weight_op(K).apply(harmonic(G, a, a - K))
+        long = eulermac._weight_op(K + 2).apply(harmonic(G, a, a - K - 2))
+        assert short.floor == a - K + 1
+        assert short == long.truncate(a - K + 1)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "stirling"])
+def test_sum_builds_the_weight_operator_once(capsys, monkeypatch, kind):
+    true_weights = eulermac._weight_op
+    built = []
+
+    def counted_weights(K, omit_linear_term=False):
+        built.append(K)
+        return true_weights(K, omit_linear_term)
+
+    monkeypatch.setattr(eulermac, "_weight_op", counted_weights)
+    assert sum_exit(capsys, kind) == 0
+    assert built == [8]
+
+
 @pytest.mark.parametrize("kind", ["harmonic", "stirling"])
 def test_sum_fails_with_wrong_b2(capsys, monkeypatch, kind):
     assert sum_exit(capsys, kind) == 0
@@ -304,12 +351,14 @@ def test_sum_fails_with_wrong_b2(capsys, monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["harmonic", "stirling"])
 def test_sum_fails_without_its_last_weight(capsys, monkeypatch, kind):
-    # B_6/6! left out of W_6; the bound, from W_8, keeps it
+    # B_6/6!, the D^5 weight, left out of the one W_8 that --order 6 builds:
+    # the right side, cut to W_6, loses its last term; the bound, from the
+    # B_8 term at D^7, keeps it
     true_weights = eulermac._weight_op
 
     def short_weights(K, omit_linear_term=False):
         w = true_weights(K, omit_linear_term)
-        return ArtinOp(w.cap, {e: c for e, c in w.coeffs.items() if e != K - 1}) if K == 6 else w
+        return ArtinOp(w.cap, {e: c for e, c in w.coeffs.items() if e != 5}) if K == 8 else w
 
     monkeypatch.setattr(eulermac, "_weight_op", short_weights)
     assert sum_exit(capsys, kind) == 1

@@ -31,9 +31,12 @@ next to this script.  Prints one JSON object:
   orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
   sequence, at depth 8, 16, 32, 64;
 * ``eulermac``: the weight operator ``_weight_op(K)``,
-  ``first_omitted_term_bound(10.0, 5, K)``, ``harmonic_identity(10, 5, K)``
-  and ``stirling_identity(10, 5, K)`` for K = 12, 24, 48, 100, each with
-  its count of Fraction operations (none of them reads a cached member);
+  ``harmonic_identity(10, 5, K)`` and ``stirling_identity(10, 5, K)``,
+  each with its bound, for K = 12, 24, 48, 100, and the direct sums
+  ``em_apply(p, n, 12)``, p dense from degree 2 down to -10, and
+  ``lambda_sum_closed_form(GENERIC, 2, n, -10)`` for n = 4, 16, 64, each
+  with its count of Fraction operations (only the lambda-sum reads a
+  cached member, the Bernoulli one, warm after the first run);
 * ``deck``: per request kind of the benchmark's workloads
   (``perfbench/workloads.py``), the ``Fraction`` constructions (calls of
   ``Fraction.__new__``) and Fraction arithmetic operations (those that
@@ -63,14 +66,14 @@ from logalg.classics import (
     laguerre_member,
     laguerre_sheffer_seq,
 )
-from logalg.eulermac import _weight_op, first_omitted_term_bound, harmonic_identity, stirling_identity
+from logalg.eulermac import _weight_op, em_apply, harmonic_identity, lambda_sum_closed_form, stirling_identity
 from logalg.operators import (
     bernoulli_j,
     convolve,
     forward_difference,
     one_minus_d_pow,
 )
-from logalg.series import OrderTag
+from logalg.series import LogSeries, OrderTag
 from logalg.sheffer import AssociatedRule, GradedSeq, exp_genfun_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +92,8 @@ GENFUN_KS = (10, 20, 40)
 IDENTITY_DEPTHS = (4, 8, 16, 32)
 CLOSED_FORM_DEPTHS = (8, 16, 32, 64)
 EM_KS = (12, 24, 48, 100)
+EM_NS = (4, 16, 64)
+EM_SERIES = LogSeries(OrderTag.GENERIC, -10, {d: Fraction(1, 3 - d) for d in range(-10, 3)})
 SESSION_SEED, SESSION_REQUESTS = 12, 3000
 DECK_SEED = 11
 _NEW = Fraction.__new__.__code__
@@ -156,9 +161,11 @@ def eulermac(r: int) -> dict:
     out: dict[str, dict] = {}
     for K in EM_KS:
         out[f"_weight_op K={K}"] = counted(lambda: _weight_op(K), r)
-        out[f"first_omitted_term_bound K={K}"] = counted(lambda: first_omitted_term_bound(10.0, 5, K), r)
         out[f"harmonic_identity K={K}"] = counted(lambda: harmonic_identity(10, 5, K), r)
         out[f"stirling_identity K={K}"] = counted(lambda: stirling_identity(10, 5, K), r)
+    for n in EM_NS:
+        out[f"em_apply K=12 n={n}"] = counted(lambda: em_apply(EM_SERIES, n, 12), r)
+        out[f"lambda_sum_closed_form n={n}"] = counted(lambda: lambda_sum_closed_form(OrderTag.GENERIC, 2, n, -10), r)
     return out
 
 
