@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate
 from math import factorial
 
-from .operators import ArtinOp, convolve, identity_op, monomial_op, powers
+from .operators import ArtinOp, convolve, identity_op, monomial_op
 from .roman import roman, roman_factorial
 from .series import Frozen, LogSeries, OrderTag, harmonic, zero_series
 
@@ -77,10 +77,11 @@ class GradedSeq:
     Members are cached per degree, generic and at the deepest floor so
     far.  The operators h, f and h**-1 are each kept at the deepest cap
     asked so far and handed out as truncations, so one reciprocal serves
-    every member that needs no deeper one, and memory stays linear in the
-    cap.  A read at the cached floor or cap gets the cached object
-    itself, shared and not copied; the caches hold immutable values, so
-    sharing them is safe and a concurrent duplicate fill is harmless.
+    every member that needs no deeper one, the generating function's G
+    included, and memory stays linear in the cap.  A read at the cached
+    floor or cap gets the cached object itself, shared and not copied;
+    the caches hold immutable values, so sharing them is safe and a
+    concurrent duplicate fill is harmless.
     """
 
     def __init__(self, rule: HarmonicRule | AppellRule | AssociatedRule | ShefferRule):
@@ -178,14 +179,16 @@ class GradedSeq:
     def check_binomial_shift(self, order: OrderTag, a: int, z: Fraction | int, floor: int) -> bool:
         """E^z s_a = sum_{b>=0} rc(a,b) <(0)| E^z p_b^{(0)} > s_{a-b},
         with p the underlying associated sequence; both sides are exact
-        down to floor."""
+        down to floor.  p_b^{(0)} holds the degrees >= 0 of the generic
+        p_b, so p_b is read at generic order down to floor 0: the cached
+        member itself when it was built there."""
         z = Fraction(z)
         assoc = self.associated_part()
         coeffs: dict[int, Fraction] = {}
         rc = Fraction(1)  # rc(a, b), carried along b by one Roman factor per step
         for b in range(a - floor + 1):
-            # <(0)| E^z p_b^{(0)} > is the polynomial p_b evaluated at z
-            cb = rc * sum(c * z**d for d, c in assoc.member(OrderTag.ZERO, b, 0).coeffs.items())
+            # <(0)| E^z p_b^{(0)} > is the polynomial part of p_b evaluated at z
+            cb = rc * sum(c * z**d for d, c in assoc.member(OrderTag.GENERIC, b, 0).coeffs.items())
             if cb != 0:
                 coeffs[a - b] = cb
             rc = rc * roman(a - b) / (b + 1)
@@ -270,47 +273,57 @@ class GradedSeq:
 
     def genfun_coefficient(self, k: int) -> LogSeries:
         """The x-polynomial coefficient of y^k in the order-(0) generating
-        function G(y) [exp](x f_inv(y)), with G = 1/h(f_inv(y)).
+        function G(y) [exp](x f_inv(y)), with G = h**-1(f_inv(y)).
 
         f_inv is the compositional inverse of the delta operator; the
         Roman exponential at order (0) is the ordinary sum_n x^n y^n/n!.
         Every operator is built through y^k, the deepest power read.
         Costs one Lagrange inversion, one composition and O(k^3) for the
-        powers of f_inv; genfun_check_order_zero shares that work over
-        every k up to its K.
+        products by f_inv; genfun_check_order_zero shares that work over
+        every k up to its K.  A negative k raises ValueError.
         """
         return self._genfun_coefficients(k)[k]
 
     def _genfun_coefficients(self, K: int) -> list[LogSeries]:
         """The y^k coefficients of the generating function for every
-        0 <= k <= K, from one f_inv and one G, both through y^K."""
+        0 <= k <= K, from one f_inv and one G, both through y^K.
+
+        G is the members' own h**-1, kept at cap K, composed with f_inv:
+        (h o f_inv)**-1 = h**-1 o f_inv through y^K, so G takes no
+        reciprocal of its own, and a member of degree <= K reads a
+        truncation of the same h**-1.  Without h, h**-1 is the identity."""
         f_inv = self.delta_op(K).comp_inverse()
-        g = self.invertible_op(K).compose(f_inv).recip()
-        return exp_genfun_coefficients(g.coeffs, f_inv.coeffs, K)
+        return exp_genfun_coefficients(self._h_inverse(K).compose(f_inv).coeffs, f_inv.coeffs, K)
 
     def genfun_check_order_zero(self, K: int) -> bool:
         """Check member(k)/k! against the y^k generating-function
         coefficient for all 0 <= k <= K.
 
-        f_inv, G and the powers of f_inv are built once at cap K and
-        every coefficient is read from them: one Lagrange inversion, one
-        composition and O(K^3) for the products.
+        f_inv, h**-1 and G are built once at cap K and every coefficient
+        is read from them: one Lagrange inversion, one reciprocal, one
+        composition and K products.  The members add no reciprocal: each
+        truncates the h**-1 that G was built from.  A negative K raises
+        ValueError.
         """
-        rows = self._genfun_coefficients(K)
-        return genfun_rows_match(rows, lambda k: self.member(OrderTag.ZERO, k, 0))
+        return genfun_rows_match(self._genfun_coefficients(K), lambda k: self.member(OrderTag.ZERO, k, 0))
 
 
 def exp_genfun_coefficients(
     g: Mapping[int, Fraction], u: Mapping[int, Fraction], K: int
 ) -> list[LogSeries]:
     """The y^k coefficients, 0 <= k <= K, of g(y) exp(x u(y)) as order-(0)
-    series in x, for power series g and u with u(0) = 0.
+    series in x, for power series g and u with u(0) = 0 and Fraction
+    coefficients.
 
-    The x^n part is g(y) u(y)^n / n!; multiplying in one factor of u per
-    n costs O(K^3) for all coefficients together.
+    The x^n part is g(y) u(y)^n / n!.  Row n + 1 is row n times u, one
+    truncated product each, so the K + 1 rows take K products and
+    O(K^3) for all coefficients together.  A negative K raises
+    ValueError.
     """
-    # rows[n][k]: coefficient of y^k in g(y) u(y)^n
-    rows = [convolve(g, power, K) for power in islice(powers(u, K), K + 1)]
+    if K < 0:
+        raise ValueError(f"the generating function is read through y^K for K >= 0, not K = {K}")
+    # rows[n][k]: coefficient of y^k in g(y) u(y)^n; rows[0] = g, rows[n + 1] = rows[n] u
+    rows = list(accumulate([u] * K, lambda row, v: convolve(row, v, K), initial=g))
     return [
         LogSeries(OrderTag.ZERO, 0, {n: row[k] / factorial(n) for n, row in enumerate(rows) if k in row})
         for k in range(K + 1)
@@ -319,6 +332,5 @@ def exp_genfun_coefficients(
 
 def genfun_rows_match(rows: list[LogSeries], member: Callable[[int], LogSeries]) -> bool:
     """Whether rows[k] == member(k)/k! for every k, the generating-function
-    comparison.  The deepest member is built first, so one h**-1 serves
-    every degree."""
-    return all(rows[k] == member(k).scale(1 / roman_factorial(k)) for k in reversed(range(len(rows))))
+    comparison.  It stops at the first row that differs."""
+    return all(rows[k] == member(k).scale(1 / roman_factorial(k)) for k in range(len(rows)))

@@ -2,10 +2,11 @@
 
 import math
 from fractions import Fraction
+from itertools import islice
 from math import comb, factorial
 
 from logalg.classics import bernoulli_number
-from logalg.operators import ArtinOp, identity_op
+from logalg.operators import ArtinOp, convolve, identity_op, powers
 from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
 
@@ -150,6 +151,18 @@ def convolve_by_fractions(a, b, cap):
             if e <= cap:
                 out[e] = out.get(e, 0) + Fraction(c1) * Fraction(c2)
     return {e: c for e, c in out.items() if c != 0}
+
+
+def exp_genfun_by_powers(g, u, K):
+    """The y^k coefficients, 0 <= k <= K, of g(y) exp(x u(y)) as order-(0)
+    series in x, from the powers of u and one product by g per power:
+    the 2K + 1 products that one product per row replaced."""
+    # rows[n][k]: coefficient of y^k in g(y) u(y)^n
+    rows = [convolve(g, power, K) for power in islice(powers(u, K), K + 1)]
+    return [
+        LogSeries(OrderTag.ZERO, 0, {n: row[k] / factorial(n) for n, row in enumerate(rows) if k in row})
+        for k in range(K + 1)
+    ]
 
 
 def pow_by_fraction_miller(op, n):

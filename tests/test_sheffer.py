@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from logalg.classics import bernoulli_seq, hermite_seq, laguerre_sheffer_seq
+from logalg import sheffer
+from logalg.classics import bernoulli_seq, hermite_seq, laguerre_genfun_check, laguerre_sheffer_seq
 from logalg.operators import (
     ArtinOp,
     bernoulli_j,
@@ -19,8 +20,15 @@ from logalg.sheffer import (
     GradedSeq,
     HarmonicRule,
     ShefferRule,
+    exp_genfun_coefficients,
 )
-from oracles import agrees, appell_from_constants, assert_series_sound, classical_bernoulli
+from oracles import (
+    agrees,
+    appell_from_constants,
+    assert_series_sound,
+    classical_bernoulli,
+    exp_genfun_by_powers,
+)
 
 F = Fraction
 G, Z = OrderTag.GENERIC, OrderTag.ZERO
@@ -389,6 +397,45 @@ def test_genfun_check_rejects_one_wrong_member(bad):
     assert not PerturbedSeq(bernoulli_seq().rule, bad).genfun_check_order_zero(8)
 
 
+def random_power_series(rng, top, low=0):
+    return {e: F(rng.randint(-9, 9), rng.randint(1, 9)) for e in range(low, top + 1) if rng.random() < 0.8}
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 20])
+def test_exp_genfun_rows_match_the_powers_route(K):
+    rng = random.Random(2500 + K)
+    for _ in range(4):
+        # g may reach past y^K; only its terms through K count
+        g, u = random_power_series(rng, K + 2), random_power_series(rng, K + 2, low=1)
+        assert exp_genfun_coefficients(g, u, K) == exp_genfun_by_powers(g, u, K)
+    g = random_power_series(rng, K)
+    assert exp_genfun_coefficients(g, {}, K) == exp_genfun_by_powers(g, {}, K)
+
+
+@pytest.mark.parametrize("K", [0, 1, 5, 20])
+def test_exp_genfun_takes_one_product_per_row(monkeypatch, K):
+    calls = []
+    original = sheffer.convolve
+    monkeypatch.setattr(sheffer, "convolve", lambda *args: calls.append(args[2]) or original(*args))
+    rng = random.Random(2520 + K)
+    exp_genfun_coefficients(random_power_series(rng, K), random_power_series(rng, K, low=1), K)
+    assert calls == [K] * K
+
+
+@pytest.mark.parametrize("K", [-1, -2])
+def test_genfun_entry_points_reject_a_negative_cutoff(K):
+    message = f"K = {K}"
+    with pytest.raises(ValueError, match=message):
+        exp_genfun_coefficients({0: F(1)}, {1: F(1)}, K)
+    for seq in (bernoulli_seq(), laguerre_sheffer_seq(F(1, 2)), GradedSeq(AssociatedRule(forward_difference))):
+        with pytest.raises(ValueError, match=message):
+            seq.genfun_coefficient(K)
+        with pytest.raises(ValueError, match=message):
+            seq.genfun_check_order_zero(K)
+    with pytest.raises(ValueError, match=message):
+        laguerre_genfun_check(2, K)
+
+
 def test_associated_part_is_memoised():
     seq = laguerre_sheffer_seq(1)
     assert seq.associated_part() is seq.associated_part()
@@ -413,6 +460,37 @@ def test_binomial_shift_builds_each_associated_member_once(monkeypatch):
         assert builds and len(builds) == len(set(builds))
 
 
+@pytest.mark.parametrize("make", [bernoulli_seq, lambda: laguerre_sheffer_seq(F(1, 2))])
+def test_binomial_shift_reads_associated_members_without_copies(monkeypatch, make):
+    # p_b is read where it was built, at generic order down to floor 0, so
+    # reading p makes no series but the ones its members' builds make.  (For
+    # an associated rule p is the sequence itself, whose members a sweep may
+    # have cached deeper than 0: those reads are copies.)
+    made = []
+    init, build, member = LogSeries.__init__, GradedSeq._build, GradedSeq.member
+    monkeypatch.setattr(LogSeries, "__init__", lambda self, *args: made.append(self) or init(self, *args))
+    seq = make()
+    assoc = seq.associated_part()
+    counts = {"build": 0, "read": 0}
+
+    def counting(method, key):
+        def wrapped(self, *args):
+            before = len(made)
+            out = method(self, *args)
+            if self is assoc:
+                counts[key] += len(made) - before
+            return out
+        return wrapped
+
+    monkeypatch.setattr(GradedSeq, "_build", counting(build, "build"))
+    monkeypatch.setattr(GradedSeq, "member", counting(member, "read"))
+    for a in range(-3, 4):
+        for z in (1, F(-1, 2)):
+            assert seq.check_binomial_shift(G, a, z, a - 6)
+    assert counts["build"] > 0
+    assert counts["read"] == counts["build"]
+
+
 # -- one reciprocal per sequence ----------------------------------------
 
 
@@ -431,14 +509,14 @@ def has_h(seq):
 
 @pytest.mark.parametrize("make", SEQUENCE_MAKERS)
 def test_genfun_check_members_share_one_reciprocal(monkeypatch, make):
+    # G is built from the members' own h**-1: the members add no reciprocal
     K = 10
     recips = count_calls(monkeypatch, ArtinOp, "recip")
     make()._genfun_coefficients(K)
-    shared = len(recips)  # inside f_inv and G, not the members
+    shared = len(recips)  # inside f_inv and h**-1
     recips.clear()
-    seq = make()
-    assert seq.genfun_check_order_zero(K)
-    assert len(recips) == shared + has_h(seq)
+    assert make().genfun_check_order_zero(K)
+    assert len(recips) == shared
 
 
 @pytest.mark.parametrize("make", SEQUENCE_MAKERS)

@@ -23,9 +23,14 @@ next to this script.  Prints one JSON object:
   ``bernoulli_j(K).compose(forward_difference(K))`` and
   ``forward_difference(K).comp_inverse()`` for K = 10, 20, 40, 80,
   ``exp_genfun_coefficients`` of the Laguerre generating function
-  (grade 2) for K = 10, 20, 40, and ``check_binomial_shift`` (z = 3/2,
+  (grade 2) for K = 10, 20, 40, ``check_binomial_shift`` (z = 3/2,
   degree 2) on a fresh Bernoulli and a fresh Laguerre (grade 1/2)
-  sequence at depth 4, 8, 16, 32;
+  sequence at depth 4, 8, 16, 32, and ``genfun``: the largest
+  generating-function check of each kind in the verify-deep deck, each on
+  a fresh sequence (assoc-delta at K = 18, Bernoulli at K = 28, Laguerre
+  by the Sheffer route with grade 1/2 at K = 16, and
+  ``laguerre_genfun_check(3, 24)``), with its calls of ``ArtinOp.recip``
+  and ``convolve`` and its Fraction operations next to its time;
 * ``closed_forms``: the member reads, each with its count of Fraction
   operations: ``hermite_closed_form`` (sigma = 1/2, degree 4) at both
   orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
@@ -39,8 +44,9 @@ next to this script.  Prints one JSON object:
   cached member, the Bernoulli one, warm after the first run);
 * ``deck``: per request kind of the benchmark's workloads
   (``perfbench/workloads.py``), the ``Fraction`` constructions (calls of
-  ``Fraction.__new__``) and Fraction arithmetic operations (those that
-  ``perfbench/tracing.py`` counts), over the first 3 000 seed-12
+  ``Fraction.__new__``), Fraction arithmetic operations (those that
+  ``perfbench/tracing.py`` counts), ``LogSeries`` constructions and
+  calls of ``ArtinOp.recip`` and ``convolve``, over the first 3 000 seed-12
   session-warm requests from cold caches, and over one pass of the
   seed-11 verify-deep deck after a warm-up pass.  Requests are prepared
   outside the count.  It runs first, before any other section warms the
@@ -63,11 +69,13 @@ from logalg.classics import (
     bernoulli_member,
     bernoulli_seq,
     hermite_closed_form,
+    laguerre_genfun_check,
     laguerre_member,
     laguerre_sheffer_seq,
 )
 from logalg.eulermac import _weight_op, em_apply, harmonic_identity, lambda_sum_closed_form, stirling_identity
 from logalg.operators import (
+    ArtinOp,
     bernoulli_j,
     convolve,
     forward_difference,
@@ -96,7 +104,21 @@ EM_NS = (4, 16, 64)
 EM_SERIES = LogSeries(OrderTag.GENERIC, -10, {d: Fraction(1, 3 - d) for d in range(-10, 3)})
 SESSION_SEED, SESSION_REQUESTS = 12, 3000
 DECK_SEED = 11
-_NEW = Fraction.__new__.__code__
+GENFUN_CHECKS = {
+    "assoc-delta K=18": lambda: GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(18),
+    "bernoulli K=28": lambda: bernoulli_seq().genfun_check_order_zero(28),
+    "laguerre_sheffer(1/2) K=16": lambda: laguerre_sheffer_seq(Fraction(1, 2)).genfun_check_order_zero(16),
+    "laguerre_genfun_check(3) K=24": lambda: laguerre_genfun_check(3, 24),
+}
+# the functions whose calls the profile hook counts, by the name they are reported under
+COUNTED = {
+    Fraction.__new__.__code__: "constructions",
+    **dict.fromkeys(_ARITH, "fraction_ops"),
+    LogSeries.__init__.__code__: "log_series",
+    ArtinOp.recip.__code__: "recip",
+    convolve.__code__: "convolve",
+}
+COUNT_NAMES = tuple(dict.fromkeys(COUNTED.values()))
 IDENTITY_SEQUENCES = {
     "bernoulli": bernoulli_seq,
     "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
@@ -130,6 +152,22 @@ def counted(fn, repeat: int) -> dict:
     return {"seconds": timed(fn, repeat)[0], "fraction_ops": count_ops(fn)}
 
 
+def profiled(fn, counts: dict[str, int]) -> None:
+    """Run ``fn``, adding to ``counts`` the calls it makes of each function in COUNTED."""
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = COUNTED.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+
+
 def layers(r: int) -> dict:
     out: dict[str, dict] = {}
     for K in OPERATOR_KS:
@@ -143,6 +181,12 @@ def layers(r: int) -> dict:
         for name, make in IDENTITY_SEQUENCES.items():
             check = lambda: make().check_binomial_shift(G, 2, z, 2 - depth)
             out[f"check_binomial_shift {name} depth={depth}"] = counted(check, r)
+    genfun = out["genfun"] = {}
+    for name, check in GENFUN_CHECKS.items():
+        counts = dict.fromkeys(COUNT_NAMES, 0)
+        profiled(check, counts)
+        genfun[name] = {"seconds": timed(check, r)[0],
+                        **{key: counts[key] for key in ("recip", "convolve", "fraction_ops")}}
     return out
 
 
@@ -170,25 +214,12 @@ def eulermac(r: int) -> dict:
 
 
 def fraction_counts(requests: list[dict]) -> dict:
-    """Fraction constructions and arithmetic operations made by ``execute``
-    on each prepared request, summed per request kind and in total."""
+    """The calls of each function in COUNTED made by ``execute`` on each
+    prepared request, summed per request kind and in total."""
     out: dict[str, dict[str, int]] = {}
     for r in requests:
-        counts = out.setdefault(r["kind"], {"constructions": 0, "fraction_ops": 0})
-
-        def hook(frame, event, arg, counts=counts):
-            if event == "call":
-                if frame.f_code is _NEW:
-                    counts["constructions"] += 1
-                elif frame.f_code in _ARITH:
-                    counts["fraction_ops"] += 1
-
-        sys.setprofile(hook)
-        try:
-            execute(r)
-        finally:
-            sys.setprofile(None)
-    out["total"] = {key: sum(c[key] for c in out.values()) for key in ("constructions", "fraction_ops")}
+        profiled(lambda: execute(r), out.setdefault(r["kind"], dict.fromkeys(COUNT_NAMES, 0)))
+    out["total"] = {key: sum(c[key] for c in out.values()) for key in COUNT_NAMES}
     return out
 
 
