@@ -32,7 +32,6 @@ from .classics import (
     laguerre_genfun_check,
     laguerre_member,
     laguerre_sheffer_seq,
-    residual_bernoulli,
 )
 from .eulermac import (
     EMReport,

@@ -25,7 +25,6 @@ __all__ = [
     "bernoulli_seq",
     "bernoulli_member",
     "bernoulli_number",
-    "residual_bernoulli",
     "hermite_seq",
     "hermite_member",
     "hermite_closed_form",
@@ -61,12 +60,6 @@ def bernoulli_number(n: int) -> Fraction:
     if n < 0:
         raise ValueError("Bernoulli numbers are indexed by n >= 0")
     return bernoulli_member(OrderTag.ZERO, n, 0).eval_functional()
-
-
-def residual_bernoulli(floor: int) -> LogSeries:
-    """B_{-1} at generic order; at iterated-log level 1 this reads
-    1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + ..."""
-    return bernoulli_member(OrderTag.GENERIC, -1, floor)
 
 
 # -- Hermite ----------------------------------------------------------

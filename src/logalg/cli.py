@@ -220,7 +220,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"--x {args.x:g} at --level {args.level}: a term of the series is beyond floating-point range"
         ) from None
     print(f"{value:.15g}")
-    print(f"trunc bound ~ {bound:.6g}", file=sys.stderr)
+    if bound is not None:
+        print(f"trunc bound ~ {bound:.6g}", file=sys.stderr)
     return 0
 
 

@@ -74,19 +74,20 @@ def _term(c: Fraction, level: int, d: int, x: float) -> float:
     return _finite(float(c * Fraction(x) ** d) * factor)
 
 
-def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float]:
+def eval_series(p: LogSeries, level: int, x: float) -> tuple[float, float | None]:
     """Evaluate a truncated series; returns (value, trunc_bound).
 
     trunc_bound is a crude tail indicator built from the last retained
     coefficient, not a certified bound; it is inf, never an error, where
-    it is beyond float range.
+    it is beyond float range, and None for x <= 1, where the omitted
+    terms need not shrink and it means nothing.
     """
     if level != (0 if p.order is OrderTag.ZERO else 1):
         raise ValueError("zero-order series evaluate at level 0, generic-order ones at level 1")
     _check_x(x)
     value = math.fsum(_term(c, level, d, x) for d, c in p.coeffs.items())
     if not x > 1:
-        return value, float("nan")
+        return value, None
     last = p.coeffs[min(p.coeffs)] if p.coeffs else 0
     try:
         bound = abs(float(last)) * x**p.floor

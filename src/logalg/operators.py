@@ -17,8 +17,10 @@ lead below.
 * ``a * b`` is exact through min(a.cap + b.lead, b.cap + a.lead).
 * ``a ** n`` keeps the relative precision cap - lead of ``a``: its cap is
   n*lead + (cap - lead) for every integer n, so ``recip()`` (n = -1) has
-  cap cap - 2*lead.  ``a ** 0`` is the identity at cap cap - lead (cap for
-  the zero operator), and the zero operator has no negative powers.
+  cap cap - 2*lead.  So ``a ** 0`` is the identity at cap cap - lead and
+  ``a ** 1`` equals ``a`` at its own cap, by the same rule and the same
+  recurrence.  The zero operator has no lead: its ``** 0`` is the
+  identity at its cap, and it has no negative powers.
 * ``apply`` is the product; its floor is minus the product cap.  D lowers
   lam_d / rf(d) by one index, so p = sum_d c_d lam_d acts as the operator
   sum_d c_d rf(d) D^(-d), known through D^(-p.floor) (Loeb & Rota, Adv.
@@ -37,7 +39,8 @@ kernels, ``convolve`` and ``a ** n``, work privately on integer
 numerators over one common denominator, the pair (den, {e: int}) of
 FLINT's fmpq_poly (Hart, ICMS 2010), so their inner loops are plain int
 arithmetic and each output coefficient is reduced by one gcd, not one per
-term.
+term.  Each builds one Fraction per nonzero output coefficient and none
+for a zero one; ``a ** n`` builds one more, for c0**n.
 """
 
 from __future__ import annotations
@@ -150,31 +153,29 @@ class ArtinOp(Frozen):
 
             m b_m = sum_{k=1..m} ((n+1) k - m) g_k b_{m-k},
 
-        which at n = -1 is recursive division.  Then
-        self^n = c0^n D^(n lead) g^n, known through n*lead + (cap - lead).
+        which at n = -1 is recursive division, at n = 1 gives g and at
+        n = 0 gives 1.  Then self^n = c0^n D^(n lead) g^n, known through
+        n*lead + (cap - lead).
 
-        The recurrence runs on integers: g_k = v_k / v_0 from the lifted
-        coefficients, and b_j = beta_j / L over one running common
-        denominator L.  Each b_m is reduced once, L grows to the lcm with
-        its denominator, and the stored beta are rescaled only when it
-        grows.  (A fixed scale such as b_m m! v_0^m instead grows the
-        integers with m: at cap 150 the reciprocal of J took seconds, not
-        milliseconds.)
+        The recurrence runs on integers only: g_k = v_k / v_0 from the
+        lifted coefficients, v_0 > 0, and b_j = beta_j / L over one running
+        common denominator L > 0.  Each b_m = acc / (v_0 L m) is reduced by
+        one gcd, L grows to the lcm with its denominator, and the stored
+        beta are rescaled only when it grows.  (A fixed scale such as
+        b_m m! v_0^m instead grows the integers with m: at cap 150 the
+        reciprocal of J took seconds, not milliseconds.)  One Fraction is
+        built for c0^n and one per nonzero output coefficient.
         """
         if self.is_zero():
             if n < 0:
                 raise ValueError("the zero operator has no reciprocal")
             return identity_op(self.cap) if n == 0 else ArtinOp(n * (self.cap + 1) - 1, {})
-        if n == 1:
-            return self
         lead = self.lead
         terms = self.cap - lead
-        if n == 0:
-            return identity_op(terms)
         _, nums = _lift(self.coeffs)
-        c0, v0 = self.coeffs[lead], nums.pop(lead)
-        g = sorted((e - lead, v) for e, v in nums.items())  # g_k = v_k / v_0
-        b = [Fraction(1)]
+        v0 = nums.pop(lead)
+        g = sorted((e - lead, v if v0 > 0 else -v) for e, v in nums.items())  # g_k = v_k / v_0
+        v0 = abs(v0)
         beta, L = [1], 1  # b_m = beta[m] / L, L the lcm of their denominators
         for m in range(1, terms + 1):
             acc = 0
@@ -184,17 +185,17 @@ class ArtinOp(Frozen):
                 w = (n + 1) * k - m
                 if w:
                     acc += w * gk * beta[m - k]
-            bm = Fraction(acc, v0 * L * m)
-            q = bm.denominator
+            q = v0 * L * m
+            r = gcd(acc, q)  # gcd(0, q) = q: a zero b_m leaves L as it is
+            q //= r
             if L % q:
                 grow = q // gcd(L, q)
                 beta = [v * grow for v in beta]
                 L *= grow
-            beta.append(bm.numerator * (L // q))
-            b.append(bm)
-        scale = c0**n
-        base = n * lead
-        return ArtinOp(base + terms, {base + m: scale * bm for m, bm in enumerate(b)})
+            beta.append(acc // r * (L // q))
+        scale = self.coeffs[lead] ** n
+        num, den, base = scale.numerator, scale.denominator * L, n * lead
+        return ArtinOp(base + terms, {base + m: Fraction(num * v, den) for m, v in enumerate(beta) if v})
 
     def compose(self, inner: "ArtinOp") -> "ArtinOp":
         """Substitute ``inner`` for D in self.  Requires self.lead >= 0 and
@@ -230,7 +231,7 @@ class ArtinOp(Frozen):
             raise ValueError("compositional inversion requires lead exactly 1")
         psi = ArtinOp(self.cap - 1, {e - 1: c for e, c in self.coeffs.items()}).recip()
         psi_powers = islice(powers(psi.coeffs, psi.cap), 1, self.cap + 1)
-        return ArtinOp(self.cap, {n: p.get(n - 1, Fraction(0)) / n for n, p in enumerate(psi_powers, 1)})
+        return ArtinOp(self.cap, {n: p[n - 1] / n for n, p in enumerate(psi_powers, 1) if n - 1 in p})
 
     def deriv_wrt_d(self) -> "ArtinOp":
         """Formal derivative with respect to the symbol D (used by the

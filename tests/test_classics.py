@@ -18,7 +18,6 @@ from logalg.classics import (
     laguerre_genfun_check,
     laguerre_member,
     laguerre_sheffer_seq,
-    residual_bernoulli,
 )
 from logalg.series import OrderTag, harmonic
 from oracles import agrees, classical_bernoulli, hermite_by_series_sum, laguerre_by_terms
@@ -54,7 +53,8 @@ def test_bernoulli_table_rows():
 
 
 def test_residual_series():
-    assert residual_bernoulli(-7).coeffs == BERNOULLI_ROWS[-1]
+    # B_{-1} at generic order: 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + ... at level 1
+    assert bernoulli_member(G, -1, -7).coeffs == BERNOULLI_ROWS[-1]
 
 
 def test_bernoulli_numbers_match_classical_recurrence():

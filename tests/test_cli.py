@@ -445,6 +445,13 @@ def test_eval_finite_value_whose_power_alone_overflows(capsys, level, order, val
     assert err == f"trunc bound ~ {1e100 * math.log(1e100):.6g}\n"
 
 
+def test_eval_below_one_prints_no_trunc_bound(capsys):
+    # for x <= 1 the tail indicator means nothing: none is printed, not "nan"
+    series = '{"order":"generic","floor":-3,"coeffs":[[-1,"1"]]}'
+    code, out, err = run(capsys, "eval", "--level", "1", "--x", "0.5", "--series", series)
+    assert (code, out, err) == (0, "2\n", "")
+
+
 def test_eval_table_json_roundtrip(capsys):
     # feed a series emitted by `table` back into `eval`
     code, out, _ = run(capsys, "table", "bernoulli", "--from", "-1", "--to", "-1", "--depth", "5")

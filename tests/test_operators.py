@@ -422,19 +422,40 @@ def test_powers_of_a_unit_never_stop():
     assert list(islice(powers({}, 3), 5)) == [{0: F(1)}, {}]
 
 
+# g even-only, J**-1 with its zero odd Bernoulli terms past D^1, and a monomial
+SPARSE = [weierstrass(F(1, 2), 9), bernoulli_j(12).recip(), identity_op(5)]
+
+
 @pytest.mark.parametrize("as_int", [False, True])
 @pytest.mark.parametrize("lead", range(-2, 3))
 def test_pow_matches_fraction_miller(lead, as_int):
     rng = random.Random(200 + 10 * lead + as_int)
     for c0 in LEADING:
+        # c0 D^lead g for each sparse g, then dense random ones
+        ops = [ArtinOp(lead + g.cap, {lead + e: c0 * c for e, c in g.coeffs.items()}) for g in SPARSE]
         for width in (0, 1, 4, 9):
             coeffs = random_map(rng, lead + 1, lead + width, as_int)
             coeffs[lead] = int(c0) if as_int and c0.denominator == 1 else c0
-            op = ArtinOp(lead + width, coeffs)
+            ops.append(ArtinOp(lead + width, coeffs))
+        for op in ops:
+            # n = 0 and n = 1 run through the recurrence like every other n
             for n in range(-6, 7):
                 got, want = op**n, pow_by_fraction_miller(op, n)
                 assert (got.cap, got.coeffs) == (want.cap, want.coeffs)
                 assert all_fractions(got.coeffs)
+
+
+@pytest.mark.parametrize(
+    "op, recip_count",
+    [(identity_op(18), 2), (weierstrass(F(1, 2), 40), 22), (bernoulli_j(40), 23)],
+    ids=["identity", "weierstrass", "J"],
+)
+def test_pow_builds_one_fraction_per_nonzero_coefficient(op, recip_count):
+    # one for c0**n and one per nonzero result coefficient: none for a zero
+    # term, none inside the recurrence
+    assert fraction_constructions(lambda: op**-1) == recip_count
+    for n in range(-4, 5):
+        assert fraction_constructions(lambda: op**n) == len((op**n).coeffs) + 1
 
 
 def test_recip_of_j_at_cap_150_matches_fraction_miller():

@@ -6,8 +6,11 @@ Runs against whichever ``logalg`` is on the path, so the same script
 times two checkouts; the reference loop comes from ``tests/oracles.py``
 next to this script.  Prints one JSON object:
 
-* ``sweep``: ``convolve`` of J**-1 with (1 - D)**(-3/2) at cap K,
-  ``bernoulli_j(K) ** -1`` and ``one_minus_d_pow(-3/2, K) ** -7``, for
+* ``sweep``: ``convolve`` of J**-1 with (1 - D)**(-3/2) at cap K, and
+  the powers ``bernoulli_j(K) ** -1``, ``one_minus_d_pow(-3/2, K) ** -7``,
+  ``identity_op(K).recip()`` and ``weierstrass(1/2, K) ** -1``, each of
+  an operand built beforehand and with its count of ``Fraction``
+  constructions (calls of ``Fraction.__new__``) next to its time, for
   K = 10, 20, 40, 80, 150, and the construction of
   ``one_minus_d_pow(-3/2, K)`` for K = 10, 40, 150;
 * ``shift``: E^(1/2) on the Bernoulli member of degree 2 and the
@@ -79,7 +82,9 @@ from logalg.operators import (
     bernoulli_j,
     convolve,
     forward_difference,
+    identity_op,
     one_minus_d_pow,
+    weierstrass,
 )
 from logalg.series import LogSeries, OrderTag
 from logalg.sheffer import AssociatedRule, GradedSeq, exp_genfun_coefficients
@@ -150,6 +155,13 @@ def entry(fn, repeat: int, coeffs=lambda r: r.coeffs.values()) -> dict:
 def counted(fn, repeat: int) -> dict:
     """Best time of ``fn`` and its Fraction operations, counted in one more call."""
     return {"seconds": timed(fn, repeat)[0], "fraction_ops": count_ops(fn)}
+
+
+def powered(fn, repeat: int) -> dict:
+    """``entry`` of a power, with the Fraction constructions of one more call."""
+    counts = dict.fromkeys(COUNT_NAMES, 0)
+    profiled(fn, counts)
+    return {**entry(fn, repeat), "constructions": counts["constructions"]}
 
 
 def profiled(fn, counts: dict[str, int]) -> None:
@@ -242,12 +254,15 @@ def main() -> None:
 
     sweep = {}
     for K in KS:
-        j_inv = bernoulli_j(K) ** -1
+        j, ident, w = bernoulli_j(K), identity_op(K), weierstrass(Fraction(1, 2), K)
+        j_inv = j ** -1
         binom = one_minus_d_pow(Fraction(-3, 2), K)
         sweep[str(K)] = {
             "convolve": entry(lambda: convolve(j_inv.coeffs, binom.coeffs, K), r, dict.values),
-            "bernoulli_j**-1": entry(lambda: bernoulli_j(K) ** -1, r),
-            "one_minus_d_pow(-3/2)**-7": entry(lambda: binom ** -7, r),
+            "bernoulli_j**-1": powered(lambda: j ** -1, r),
+            "one_minus_d_pow(-3/2)**-7": powered(lambda: binom ** -7, r),
+            "identity_op.recip()": powered(ident.recip, r),
+            "weierstrass(1/2)**-1": powered(lambda: w ** -1, r),
         }
         if K in BINOMIAL_KS:
             sweep[str(K)]["one_minus_d_pow(-3/2)"] = entry(lambda: one_minus_d_pow(Fraction(-3, 2), K), r)
