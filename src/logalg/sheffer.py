@@ -291,8 +291,10 @@ class GradedSeq:
         G is the members' own h**-1, kept at cap K, composed with f_inv:
         (h o f_inv)**-1 = h**-1 o f_inv through y^K, so G takes no
         reciprocal of its own, and a member of degree <= K reads a
-        truncation of the same h**-1.  Without h, h**-1 is the identity."""
-        f_inv = self.delta_op(K).comp_inverse()
+        truncation of the same h**-1.  Without h, h**-1 is the identity.
+        f is built once, through D^(K+1) as member K reads it, and f_inv
+        inverts its truncation (to D^1 at least, as delta_op keeps)."""
+        f_inv = self.delta_op(K + 1).truncate(max(K, 1)).comp_inverse()
         return exp_genfun_coefficients(self._h_inverse(K).compose(f_inv).coeffs, f_inv.coeffs, K)
 
     def genfun_check_order_zero(self, K: int) -> bool:

@@ -1,6 +1,7 @@
 """Independent brute-force oracles shared across test modules."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -9,6 +10,24 @@ from logalg.classics import bernoulli_number
 from logalg.operators import ArtinOp, convolve, identity_op, powers
 from logalg.roman import roman, roman_coeff, roman_ratio
 from logalg.series import LogSeries, OrderTag, harmonic, zero_series
+
+
+def profiled(fn, codes: dict, counts: dict[str, int]):
+    """fn()'s result.  Each call fn makes of a function whose code object
+    is a key of ``codes`` adds one to ``counts[codes[code]]``, counted by
+    a profile hook."""
+
+    def hook(frame, event, arg):
+        if event == "call":
+            name = codes.get(frame.f_code)
+            if name is not None:
+                counts[name] += 1
+
+    sys.setprofile(hook)
+    try:
+        return fn()
+    finally:
+        sys.setprofile(None)
 
 
 def agrees(p: LogSeries, q: LogSeries) -> bool:

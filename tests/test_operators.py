@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial
@@ -31,6 +30,7 @@ from oracles import (
     one_minus_d_pow_by_binomials,
     pow_by_fraction_miller,
     pow_by_squaring,
+    profiled,
     recip_by_division,
 )
 
@@ -67,19 +67,10 @@ def test_operator_coeffs_are_read_only_and_hash_by_value():
 
 
 def fraction_constructions(fn) -> int:
-    """Calls of Fraction.__new__ made by fn(), counted by a profile hook."""
-    new, count = Fraction.__new__.__code__, [0]
-
-    def hook(frame, event, arg):
-        if event == "call" and frame.f_code is new:
-            count[0] += 1
-
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-    return count[0]
+    """Calls of Fraction.__new__ made by fn()."""
+    counts = {"new": 0}
+    profiled(fn, {Fraction.__new__.__code__: "new"}, counts)
+    return counts["new"]
 
 
 class Third(Fraction):

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from logalg import sheffer
-from logalg.classics import bernoulli_seq, hermite_seq, laguerre_genfun_check, laguerre_sheffer_seq
+from logalg.classics import bernoulli_seq, hermite_seq, laguerre_delta, laguerre_genfun_check, laguerre_sheffer_seq
 from logalg.operators import (
     ArtinOp,
     bernoulli_j,
@@ -367,6 +367,25 @@ def test_genfun_check_inverts_once(monkeypatch):
     calls = count_calls(monkeypatch, ArtinOp, "comp_inverse")
     assert laguerre_sheffer_seq(1).genfun_check_order_zero(10)
     assert [f.cap for f in calls] == [10]
+
+
+@pytest.mark.parametrize("K", [0, 1, 16])
+@pytest.mark.parametrize(
+    "rule, delta",
+    [(AssociatedRule, forward_difference),
+     (lambda f: ShefferRule(laguerre_sheffer_seq(F(1, 2)).rule.h, f), laguerre_delta)],
+    ids=["assoc-delta", "laguerre-sheffer(1/2)"],
+)
+def test_genfun_check_builds_f_once(rule, delta, K):
+    # member K reads f through D^(K+1); f_inv truncates that same build
+    caps = []
+
+    def counting(cap):
+        caps.append(cap)
+        return delta(cap)
+
+    assert GradedSeq(rule(counting)).genfun_check_order_zero(K)
+    assert caps == [K + 1]
 
 
 @pytest.mark.parametrize("seq", named_sequences())

@@ -1,62 +1,37 @@
-"""Wall time and rational size of the two exact kernels, by cutoff K.
+"""Wall time and operation counts of logalg's layers, case by case.
 
     PYTHONPATH=src python3 tools/kernel_sweep.py [--repeat R]
 
 Runs against whichever ``logalg`` is on the path, so the same script
-times two checkouts; the reference loop comes from ``tests/oracles.py``
-next to this script.  Prints one JSON object:
+measures two checkouts; the oracle loop and the profile hook come from
+``tests/oracles.py`` next to this script.  Prints one JSON object of
+sections, each a table from row name to row.
 
-* ``sweep``: ``convolve`` of J**-1 with (1 - D)**(-3/2) at cap K, and
-  the powers ``bernoulli_j(K) ** -1``, ``one_minus_d_pow(-3/2, K) ** -7``,
-  ``identity_op(K).recip()`` and ``weierstrass(1/2, K) ** -1``, each of
-  an operand built beforehand and with its count of ``Fraction``
-  constructions (calls of ``Fraction.__new__``) next to its time, for
-  K = 10, 20, 40, 80, 150, and the construction of
-  ``one_minus_d_pow(-3/2, K)`` for K = 10, 40, 150;
-* ``shift``: E^(1/2) on the Bernoulli member of degree 2 and the
-  Laguerre member (grade 1/2) of degree 2, each of depth 4, 8, 16, 32
-  and 48, by ``LogSeries.shift`` and by the oracle loop
-  ``shift_by_roman_coeff``;
-* ``large``: the large-cap cases ``bernoulli_j(150) ** -1``,
-  ``one_minus_d_pow(-3/2, 120) ** -7``,
-  ``forward_difference(40).comp_inverse()`` and the order-(0) genfun
-  checks (assoc-delta and Laguerre 1/3 at K = 30, Bernoulli at K = 60);
-* ``layers``: the layers above the kernels, each with its count of
-  Fraction operations (``perfbench/tracing.count_ops``) next to its time:
-  ``bernoulli_j(K).compose(forward_difference(K))`` and
-  ``forward_difference(K).comp_inverse()`` for K = 10, 20, 40, 80,
-  ``exp_genfun_coefficients`` of the Laguerre generating function
-  (grade 2) for K = 10, 20, 40, ``check_binomial_shift`` (z = 3/2,
-  degree 2) on a fresh Bernoulli and a fresh Laguerre (grade 1/2)
-  sequence at depth 4, 8, 16, 32, and ``genfun``: the largest
-  generating-function check of each kind in the verify-deep deck, each on
-  a fresh sequence (assoc-delta at K = 18, Bernoulli at K = 28, Laguerre
-  by the Sheffer route with grade 1/2 at K = 16, and
-  ``laguerre_genfun_check(3, 24)``), with its calls of ``ArtinOp.recip``
-  and ``convolve`` and its Fraction operations next to its time;
-* ``closed_forms``: the member reads, each with its count of Fraction
-  operations: ``hermite_closed_form`` (sigma = 1/2, degree 4) at both
-  orders, and ``member(ZERO, 4, 4 - depth)`` on a fresh Bernoulli
-  sequence, at depth 8, 16, 32, 64;
-* ``eulermac``: the weight operator ``_weight_op(K)``,
-  ``harmonic_identity(10, 5, K)`` and ``stirling_identity(10, 5, K)``,
-  each with its bound, for K = 12, 24, 48, 100, and the direct sums
-  ``em_apply(p, n, 12)``, p dense from degree 2 down to -10, and
-  ``lambda_sum_closed_form(GENERIC, 2, n, -10)`` for n = 4, 16, 64, each
-  with its count of Fraction operations (only the lambda-sum reads a
-  cached member, the Bernoulli one, warm after the first run);
-* ``deck``: per request kind of the benchmark's workloads
-  (``perfbench/workloads.py``), the ``Fraction`` constructions (calls of
-  ``Fraction.__new__``), Fraction arithmetic operations (those that
-  ``perfbench/tracing.py`` counts), ``LogSeries`` constructions and
-  calls of ``ArtinOp.recip`` and ``convolve``, over the first 3 000 seed-12
-  session-warm requests from cold caches, and over one pass of the
-  seed-11 verify-deep deck after a warm-up pass.  Requests are prepared
-  outside the count.  It runs first, before any other section warms the
-  member caches.
+A row is one case at one size (the last ``key=value`` of its name).
+Its operands are built before the clock.  It holds the best wall time of
+R calls (``seconds``) and, from one more call under a profile hook, the
+calls of ``Fraction.__new__`` (``constructions``), of the Fraction
+arithmetic that ``perfbench/tracing.py`` counts (``fraction_ops``), of
+``LogSeries.__init__`` (``log_series``), ``ArtinOp.recip`` (``recip``)
+and ``convolve``, and the largest numerator and denominator bit length
+among the exact values of its result (``num_bits_max``, ``den_bits_max``;
+0 for a bool).  Counts are deterministic; times are not.
 
-Each entry gives the best wall time of R runs in seconds and the largest
-numerator and denominator bit length among the result's coefficients.
+* ``deck``: the counts alone, per request kind of the benchmark's
+  workloads (``perfbench/workloads.py``), over the first 3 000 seed-12
+  session-warm requests from cold caches and one pass of the seed-11
+  verify-deep deck after a warm-up pass.  Requests are prepared outside
+  the count.  It runs first, before the other sections warm any cache.
+* ``sweep``: the kernels: ``convolve``, powers and reciprocals of built
+  operators, and the construction of (1 - D)**(-3/2).
+* ``shift``: E^(1/2) on a Bernoulli and a Laguerre member, by
+  ``LogSeries.shift`` and by the oracle loop ``shift_by_roman_coeff``.
+* ``layers``: ``compose``, ``comp_inverse``, ``exp_genfun_coefficients``,
+  ``check_binomial_shift`` and the generating-function checks, these two
+  on a fresh sequence per call.
+* ``closed_forms``: ``hermite_closed_form`` and Bernoulli member reads.
+* ``eulermac``: the weight operator, the two identities, ``em_apply``
+  and ``lambda_sum_closed_form``.
 """
 
 from __future__ import annotations
@@ -65,7 +40,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from logalg.classics import (
@@ -91,30 +68,12 @@ from logalg.sheffer import AssociatedRule, GradedSeq, exp_genfun_coefficients
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
-from oracles import shift_by_roman_coeff  # noqa: E402
-from tracing import _ARITH, count_ops  # noqa: E402
+from oracles import profiled, shift_by_roman_coeff  # noqa: E402
+from tracing import _ARITH  # noqa: E402
 # workloads' own ``check`` is never called here, so it does not matter
 # that ``oracles`` names the tests' module in this process
 from workloads import execute, prepare, session_stream, verify_deck  # noqa: E402
 
-KS = (10, 20, 40, 80, 150)
-BINOMIAL_KS = (10, 40, 150)
-SHIFT_DEPTHS = (4, 8, 16, 32, 48)
-OPERATOR_KS = (10, 20, 40, 80)
-GENFUN_KS = (10, 20, 40)
-IDENTITY_DEPTHS = (4, 8, 16, 32)
-CLOSED_FORM_DEPTHS = (8, 16, 32, 64)
-EM_KS = (12, 24, 48, 100)
-EM_NS = (4, 16, 64)
-EM_SERIES = LogSeries(OrderTag.GENERIC, -10, {d: Fraction(1, 3 - d) for d in range(-10, 3)})
-SESSION_SEED, SESSION_REQUESTS = 12, 3000
-DECK_SEED = 11
-GENFUN_CHECKS = {
-    "assoc-delta K=18": lambda: GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(18),
-    "bernoulli K=28": lambda: bernoulli_seq().genfun_check_order_zero(28),
-    "laguerre_sheffer(1/2) K=16": lambda: laguerre_sheffer_seq(Fraction(1, 2)).genfun_check_order_zero(16),
-    "laguerre_genfun_check(3) K=24": lambda: laguerre_genfun_check(3, 24),
-}
 # the functions whose calls the profile hook counts, by the name they are reported under
 COUNTED = {
     Fraction.__new__.__code__: "constructions",
@@ -124,187 +83,134 @@ COUNTED = {
     convolve.__code__: "convolve",
 }
 COUNT_NAMES = tuple(dict.fromkeys(COUNTED.values()))
-IDENTITY_SEQUENCES = {
-    "bernoulli": bernoulli_seq,
-    "laguerre(1/2)": lambda: laguerre_sheffer_seq(Fraction(1, 2)),
-}
+G, Z, HALF = OrderTag.GENERIC, OrderTag.ZERO, Fraction(1, 2)
 
 
-def bits(values) -> dict:
-    values = [Fraction(v) for v in values]
+def exact_values(result) -> list:
+    """The rationals a result holds: a series' or operator's coefficients,
+    a coefficient map's values, or those of each part of a list or tuple."""
+    result = getattr(result, "coeffs", result)
+    if isinstance(result, Mapping):
+        return list(result.values())
+    if isinstance(result, (list, tuple)):
+        return [v for part in result for v in exact_values(part)]
+    return [result] if isinstance(result, (int, Fraction)) and not isinstance(result, bool) else []
+
+
+def measure(fn, repeat: int) -> dict:
+    """Best wall time of ``repeat`` calls of ``fn``; counts and bits of one more."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    counts = dict.fromkeys(COUNT_NAMES, 0)
+    values = exact_values(profiled(fn, COUNTED, counts))
     return {
+        "seconds": best,
+        **counts,
         "num_bits_max": max((abs(v.numerator).bit_length() for v in values), default=0),
         "den_bits_max": max((v.denominator.bit_length() for v in values), default=0),
     }
 
 
-def timed(fn, repeat: int) -> tuple[float, object]:
-    best, out = float("inf"), None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, out
+def family(case: str, key: str, sizes, make) -> dict:
+    """The rows ``case key=size``, each thunk ``make(size)``."""
+    return {f"{case} {key}={size}": make(size) for size in sizes}
 
 
-def entry(fn, repeat: int, coeffs=lambda r: r.coeffs.values()) -> dict:
-    seconds, result = timed(fn, repeat)
-    return {"seconds": seconds, **(bits(coeffs(result)) if coeffs else {})}
+def fresh(make, method, *args):
+    """A thunk that calls ``method`` with ``args`` on a new sequence ``make()`` each time."""
+    return lambda: method(make(), *args)
 
 
-def counted(fn, repeat: int) -> dict:
-    """Best time of ``fn`` and its Fraction operations, counted in one more call."""
-    return {"seconds": timed(fn, repeat)[0], "fraction_ops": count_ops(fn)}
+def sections() -> dict[str, dict]:
+    """Each section's rows, from row name to thunk, the operands built here."""
+    ks, minus_3_2, depths = (10, 20, 40, 80, 150), Fraction(-3, 2), (8, 16, 32, 64)
+    laguerre_half = partial(laguerre_sheffer_seq, HALF)
+    binomial_shift, genfun = GradedSeq.check_binomial_shift, GradedSeq.genfun_check_order_zero
+    members = {"bernoulli": partial(bernoulli_member, G, 2), "laguerre(1/2)": partial(laguerre_member, G, 2, HALF)}
+    em_series = LogSeries(G, -10, {d: Fraction(1, 3 - d) for d in range(-10, 3)})
+    return {
+        "sweep": {
+            **family("convolve", "K", ks, lambda K: partial(
+                convolve, (bernoulli_j(K) ** -1).coeffs, one_minus_d_pow(minus_3_2, K).coeffs, K)),
+            **family("bernoulli_j**-1", "K", ks, lambda K: partial(pow, bernoulli_j(K), -1)),
+            **family("one_minus_d_pow(-3/2)**-7", "K", (10, 20, 40, 80, 120, 150),
+                     lambda K: partial(pow, one_minus_d_pow(minus_3_2, K), -7)),
+            **family("identity_op.recip()", "K", ks, lambda K: identity_op(K).recip),
+            **family("weierstrass(1/2)**-1", "K", ks, lambda K: partial(pow, weierstrass(HALF, K), -1)),
+            **family("one_minus_d_pow(-3/2)", "K", (10, 40, 150), lambda K: partial(one_minus_d_pow, minus_3_2, K)),
+        },
+        "shift": {
+            f"{way} {name} depth={depth}": partial(fn, member(2 - depth), HALF)
+            for name, member in members.items()
+            for way, fn in (("shift", LogSeries.shift), ("oracle loop", shift_by_roman_coeff))
+            for depth in (4, 8, 16, 32, 48)
+        },
+        "layers": {
+            **family("compose", "K", (10, 20, 40, 80),
+                     lambda K: lambda: bernoulli_j(K).compose(forward_difference(K))),
+            **family("comp_inverse", "K", (10, 20, 40, 80), lambda K: lambda: forward_difference(K).comp_inverse()),
+            **family("exp_genfun_coefficients", "K", (10, 20, 40), lambda K: partial(
+                exp_genfun_coefficients, one_minus_d_pow(-3, K).coeffs,
+                dict.fromkeys(range(1, K + 1), Fraction(-1)), K)),
+            **family("check_binomial_shift bernoulli", "depth", (4, 8, 16, 32),
+                     lambda depth: fresh(bernoulli_seq, binomial_shift, G, 2, Fraction(3, 2), 2 - depth)),
+            **family("check_binomial_shift laguerre(1/2)", "depth", (4, 8, 16, 32),
+                     lambda depth: fresh(laguerre_half, binomial_shift, G, 2, Fraction(3, 2), 2 - depth)),
+            **family("genfun assoc-delta", "K", (18, 30),
+                     lambda K: fresh(partial(GradedSeq, AssociatedRule(forward_difference)), genfun, K)),
+            **family("genfun bernoulli", "K", (28, 60), lambda K: fresh(bernoulli_seq, genfun, K)),
+            **family("genfun laguerre_sheffer(1/2)", "K", (16,), lambda K: fresh(laguerre_half, genfun, K)),
+            **family("genfun laguerre_sheffer(1/3)", "K", (30,),
+                     lambda K: fresh(partial(laguerre_sheffer_seq, Fraction(1, 3)), genfun, K)),
+            **family("genfun laguerre_genfun_check(3)", "K", (24,), lambda K: partial(laguerre_genfun_check, 3, K)),
+        },
+        "closed_forms": {
+            **family("hermite_closed_form generic", "depth", depths,
+                     lambda depth: partial(hermite_closed_form, G, 4, 4 - depth, HALF)),
+            **family("hermite_closed_form zero", "depth", depths,
+                     lambda depth: partial(hermite_closed_form, Z, 4, 4 - depth, HALF)),
+            **family("bernoulli member zero", "depth", depths,
+                     lambda depth: fresh(bernoulli_seq, GradedSeq.member, Z, 4, 4 - depth)),
+        },
+        "eulermac": {
+            **family("_weight_op", "K", (12, 24, 48, 100), lambda K: partial(_weight_op, K)),
+            **family("harmonic_identity", "K", (12, 24, 48, 100), lambda K: partial(harmonic_identity, 10, 5, K)),
+            **family("stirling_identity", "K", (12, 24, 48, 100), lambda K: partial(stirling_identity, 10, 5, K)),
+            **family("em_apply K=12", "n", (4, 16, 64), lambda n: partial(em_apply, em_series, n, 12)),
+            **family("lambda_sum_closed_form", "n", (4, 16, 64),
+                     lambda n: partial(lambda_sum_closed_form, G, 2, n, -10)),
+        },
+    }
 
 
-def powered(fn, repeat: int) -> dict:
-    """``entry`` of a power, with the Fraction constructions of one more call."""
-    counts = dict.fromkeys(COUNT_NAMES, 0)
-    profiled(fn, counts)
-    return {**entry(fn, repeat), "constructions": counts["constructions"]}
-
-
-def profiled(fn, counts: dict[str, int]) -> None:
-    """Run ``fn``, adding to ``counts`` the calls it makes of each function in COUNTED."""
-
-    def hook(frame, event, arg):
-        if event == "call":
-            name = COUNTED.get(frame.f_code)
-            if name is not None:
-                counts[name] += 1
-
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-
-
-def layers(r: int) -> dict:
-    out: dict[str, dict] = {}
-    for K in OPERATOR_KS:
-        out[f"compose K={K}"] = counted(lambda: bernoulli_j(K).compose(forward_difference(K)), r)
-        out[f"comp_inverse K={K}"] = counted(lambda: forward_difference(K).comp_inverse(), r)
-    for K in GENFUN_KS:
-        g, u = one_minus_d_pow(-3, K).coeffs, {k: Fraction(-1) for k in range(1, K + 1)}
-        out[f"exp_genfun_coefficients K={K}"] = counted(lambda: exp_genfun_coefficients(g, u, K), r)
-    z, G = Fraction(3, 2), OrderTag.GENERIC
-    for depth in IDENTITY_DEPTHS:
-        for name, make in IDENTITY_SEQUENCES.items():
-            check = lambda: make().check_binomial_shift(G, 2, z, 2 - depth)
-            out[f"check_binomial_shift {name} depth={depth}"] = counted(check, r)
-    genfun = out["genfun"] = {}
-    for name, check in GENFUN_CHECKS.items():
-        counts = dict.fromkeys(COUNT_NAMES, 0)
-        profiled(check, counts)
-        genfun[name] = {"seconds": timed(check, r)[0],
-                        **{key: counts[key] for key in ("recip", "convolve", "fraction_ops")}}
-    return out
-
-
-def closed_forms(r: int) -> dict:
-    out: dict[str, dict] = {}
-    for depth in CLOSED_FORM_DEPTHS:
-        for order in OrderTag:
-            form = lambda: hermite_closed_form(order, 4, 4 - depth, Fraction(1, 2))
-            out[f"hermite_closed_form {order.value} depth={depth}"] = counted(form, r)
-        read = lambda: bernoulli_seq().member(OrderTag.ZERO, 4, 4 - depth)
-        out[f"bernoulli member zero depth={depth}"] = counted(read, r)
-    return out
-
-
-def eulermac(r: int) -> dict:
-    out: dict[str, dict] = {}
-    for K in EM_KS:
-        out[f"_weight_op K={K}"] = counted(lambda: _weight_op(K), r)
-        out[f"harmonic_identity K={K}"] = counted(lambda: harmonic_identity(10, 5, K), r)
-        out[f"stirling_identity K={K}"] = counted(lambda: stirling_identity(10, 5, K), r)
-    for n in EM_NS:
-        out[f"em_apply K=12 n={n}"] = counted(lambda: em_apply(EM_SERIES, n, 12), r)
-        out[f"lambda_sum_closed_form n={n}"] = counted(lambda: lambda_sum_closed_form(OrderTag.GENERIC, 2, n, -10), r)
-    return out
-
-
-def fraction_counts(requests: list[dict]) -> dict:
-    """The calls of each function in COUNTED made by ``execute`` on each
-    prepared request, summed per request kind and in total."""
+def deck_counts(requests: list[dict]) -> dict:
+    """The counted calls ``execute`` makes on each prepared request,
+    summed per request kind and in total."""
     out: dict[str, dict[str, int]] = {}
     for r in requests:
-        profiled(lambda: execute(r), out.setdefault(r["kind"], dict.fromkeys(COUNT_NAMES, 0)))
+        profiled(partial(execute, r), COUNTED, out.setdefault(r["kind"], dict.fromkeys(COUNT_NAMES, 0)))
     out["total"] = {key: sum(c[key] for c in out.values()) for key in COUNT_NAMES}
     return out
 
 
 def deck() -> dict:
-    stream = session_stream(SESSION_SEED)
-    session = fraction_counts([prepare(next(stream)) for _ in range(SESSION_REQUESTS)])
-    verify = [prepare(r) for r in verify_deck(DECK_SEED)]
-    fraction_counts(verify)  # the warm-up pass
-    return {
-        f"session-warm seed={SESSION_SEED} first {SESSION_REQUESTS}": session,
-        f"verify-deep seed={DECK_SEED} warm pass": fraction_counts(verify),
-    }
+    stream = session_stream(12)
+    session = deck_counts([prepare(next(stream)) for _ in range(3000)])
+    verify = [prepare(r) for r in verify_deck(11)]
+    deck_counts(verify)  # the warm-up pass
+    return {"session-warm seed=12 first 3000": session, "verify-deep seed=11 warm pass": deck_counts(verify)}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
     r = parser.parse_args().repeat
-    counts = deck()  # first: the session requests start from cold caches
-
-    sweep = {}
-    for K in KS:
-        j, ident, w = bernoulli_j(K), identity_op(K), weierstrass(Fraction(1, 2), K)
-        j_inv = j ** -1
-        binom = one_minus_d_pow(Fraction(-3, 2), K)
-        sweep[str(K)] = {
-            "convolve": entry(lambda: convolve(j_inv.coeffs, binom.coeffs, K), r, dict.values),
-            "bernoulli_j**-1": powered(lambda: j ** -1, r),
-            "one_minus_d_pow(-3/2)**-7": powered(lambda: binom ** -7, r),
-            "identity_op.recip()": powered(ident.recip, r),
-            "weierstrass(1/2)**-1": powered(lambda: w ** -1, r),
-        }
-        if K in BINOMIAL_KS:
-            sweep[str(K)]["one_minus_d_pow(-3/2)"] = entry(lambda: one_minus_d_pow(Fraction(-3, 2), K), r)
-    shift = {}
-    z = Fraction(1, 2)
-    for depth in SHIFT_DEPTHS:
-        members = {
-            "bernoulli": bernoulli_member(OrderTag.GENERIC, 2, 2 - depth),
-            "laguerre(1/2)": laguerre_member(OrderTag.GENERIC, 2, Fraction(1, 2), 2 - depth),
-        }
-        row = shift[str(depth)] = {}
-        for name, p in members.items():
-            row[f"shift {name}"] = entry(lambda: p.shift(z), r)
-            row[f"oracle loop {name}"] = entry(lambda: shift_by_roman_coeff(p, z), r)
-    large = {
-        "bernoulli_j(150)**-1": entry(lambda: bernoulli_j(150) ** -1, r),
-        "one_minus_d_pow(-3/2,120)**-7": entry(
-            lambda: one_minus_d_pow(Fraction(-3, 2), 120) ** -7, r
-        ),
-        "forward_difference(40).comp_inverse()": entry(
-            lambda: forward_difference(40).comp_inverse(), r
-        ),
-        "genfun_check_order_zero assoc-delta K=30": entry(
-            lambda: GradedSeq(AssociatedRule(forward_difference)).genfun_check_order_zero(30), r, None
-        ),
-        "genfun_check_order_zero laguerre(1/3) K=30": entry(
-            lambda: laguerre_sheffer_seq(Fraction(1, 3)).genfun_check_order_zero(30), r, None
-        ),
-        "genfun_check_order_zero bernoulli K=60": entry(
-            lambda: bernoulli_seq().genfun_check_order_zero(60), r, None
-        ),
-    }
-    out = {
-        "repeat": r,
-        "sweep": sweep,
-        "shift": shift,
-        "large": large,
-        "layers": layers(r),
-        "closed_forms": closed_forms(r),
-        "eulermac": eulermac(r),
-        "deck": counts,
-    }
+    out = {"repeat": r, "deck": deck()}  # first: the session requests start from cold caches
+    for name, rows in sections().items():
+        out[name] = {row: measure(fn, r) for row, fn in rows.items()}
     print(json.dumps(out, indent=1))
 
 
